@@ -268,6 +268,7 @@ enum class TraceStage : uint8_t {
   kScan,
   kJoinBuild,
   kJoinProbe,
+  kKeySeek,
   kGallopIntersect,
   kGallopEmit,
   kFusedScan,
@@ -292,6 +293,7 @@ constexpr const char* TraceStageName(TraceStage s) {
     case TraceStage::kScan: return "scan";
     case TraceStage::kJoinBuild: return "join build";
     case TraceStage::kJoinProbe: return "join probe";
+    case TraceStage::kKeySeek: return "key seek";
     case TraceStage::kGallopIntersect: return "gallop intersect";
     case TraceStage::kGallopEmit: return "gallop emit";
     case TraceStage::kFusedScan: return "fused scan";
@@ -315,6 +317,8 @@ enum class TraceCounter : uint8_t {
   kMcCandidateRows,
   kMcBloomPassRows,
   kMcValidatedRows,
+  // Join steps served by the key seek instead of a scan of the new relation.
+  kKeySeekSteps,
   kNumCounters,
 };
 
@@ -329,6 +333,7 @@ constexpr const char* TraceCounterName(TraceCounter c) {
     case TraceCounter::kMcCandidateRows: return "mc_candidate_rows";
     case TraceCounter::kMcBloomPassRows: return "mc_bloom_pass_rows";
     case TraceCounter::kMcValidatedRows: return "mc_validated_rows";
+    case TraceCounter::kKeySeekSteps: return "key_seek_steps";
     case TraceCounter::kNumCounters: return "?";
   }
   return "?";

@@ -412,12 +412,10 @@ std::string CorrelationSeeker::GenerateSql(const std::string& rewrite,
          RewriteClause(rewrite) +
          ") AS keys INNER JOIN (SELECT TableId, RowId, ColumnId, Quadrant "
          "FROM AllTables WHERE RowId < " +
-         h + " AND Quadrant IS NOT NULL" +
-         // A positive TableId IN (...) also prunes the numeric-cell scan (it
-         // turns into the clustered-index access path); a NOT IN would only
-         // add a per-record filter there, so it stays on the keys side.
-         (rewrite.rfind("AND TableId IN", 0) == 0 ? RewriteClause(rewrite) : "") +
-         ") AS nums "
+         h +
+         // The rewrite stays on the keys side: the engine's key-seek join
+         // reads only the numeric cells of the keys' (TableId, RowId) groups.
+         " AND Quadrant IS NOT NULL) AS nums "
          "ON keys.TableId = nums.TableId AND keys.RowId = nums.RowId "
          "AND keys.ColumnId <> nums.ColumnId "
          "GROUP BY keys.TableId, keys.ColumnId, nums.ColumnId "

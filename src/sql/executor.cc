@@ -1,11 +1,14 @@
 #include "sql/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <span>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/scheduler.h"
 #include "common/str_util.h"
@@ -278,54 +281,76 @@ std::vector<CellId> ResolveCellIds(const Expr& cell_in, const Dictionary& dict) 
   return ids;
 }
 
+/// Per-record filter of one relation's ScanSpec beyond its access path: the
+/// RowId bound, Quadrant IS NOT NULL, the residual predicates and, when
+/// `filter_tables`, TableId IN membership. Bound once; evaluation is
+/// read-only and thread-safe.
 template <typename Store>
-Result<std::vector<RecordPos>> ScanRel(const AnalyzedRel& rel, const Store& store,
-                                       const Dictionary& dict, Scheduler* sched,
-                                       const QueryControl* control,
-                                       QueryTrace* trace) {
-  const ScanSpec spec = ClassifyScan(rel.scan_pred);
-
-  // Bind residual predicates once; evaluation is read-only and thread-safe.
-  Binder binder(&dict, {AllFields("")});
-  std::vector<BoundExprPtr> preds;
-  for (const Expr* c : spec.residual) {
-    BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*c));
-    preds.push_back(std::move(b));
+class RecordFilter {
+ public:
+  static Result<RecordFilter> Make(const ScanSpec& spec, const Store& store,
+                                   const Dictionary& dict, bool filter_tables) {
+    RecordFilter f(store);
+    f.row_lt_ = spec.row_lt;
+    f.need_quadrant_ = spec.need_quadrant;
+    if (filter_tables && spec.table_in != nullptr) {
+      f.use_table_filter_ = true;
+      f.table_filter_.insert(spec.table_in->in_ints.begin(),
+                             spec.table_in->in_ints.end());
+    }
+    Binder binder(&dict, {AllFields("")});
+    for (const Expr* c : spec.residual) {
+      BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*c));
+      f.preds_.push_back(std::move(b));
+    }
+    return f;
   }
 
-  const int64_t row_lt = spec.row_lt;
-  const bool need_quadrant = spec.need_quadrant;
-  auto passes = [&](RecordPos p) {
-    if (row_lt >= 0 && store.row(p) >= row_lt) return false;
-    if (need_quadrant && store.quadrant(p) == kQuadrantNull) return false;
-    for (const auto& pred : preds) {
-      RowCtx ctx;
-      ctx.pos[0] = p;
+  /// TableId IN membership (true when the filter does not check tables).
+  bool TableAllowed(int64_t table) const {
+    return !use_table_filter_ || table_filter_.count(table) != 0;
+  }
+
+  bool Passes(RecordPos p) const {
+    if (!TableAllowed(store_->table(p))) return false;
+    if (row_lt_ >= 0 && store_->row(p) >= row_lt_) return false;
+    if (need_quadrant_ && store_->quadrant(p) == kQuadrantNull) return false;
+    for (const auto& pred : preds_) {
       SqlValue v = EvalExpr(*pred, [&](const BoundExpr& b) {
-        return FieldValue(store, b.field, ctx.pos[b.side]);
+        return FieldValue(*store_, b.field, p);
       });
       if (!v.IsTruthy()) return false;
     }
     return true;
-  };
+  }
 
-  // When the TableId IN-list is not the access path it acts as a filter.
-  std::unordered_set<int64_t> table_filter;
-  bool use_table_filter = false;
+ private:
+  explicit RecordFilter(const Store& store) : store_(&store) {}
 
-  std::vector<ScanMorsel> morsels;
-  if (spec.cell_in != nullptr) {
-    // Access path 1: the in-database hash index on CellValue.
-    if (spec.table_in != nullptr) {
-      use_table_filter = true;
-      table_filter.insert(spec.table_in->in_ints.begin(),
-                          spec.table_in->in_ints.end());
-    }
-    for (CellId id : ResolveCellIds(*spec.cell_in, dict)) {
-      AppendListMorsels(store.PostingList(id), &morsels);
-    }
-  } else if (spec.table_in != nullptr) {
-    // Access path 2: the clustered index on TableId.
+  const Store* store_;
+  int64_t row_lt_ = -1;
+  bool need_quadrant_ = false;
+  bool use_table_filter_ = false;
+  std::unordered_set<int64_t> table_filter_;
+  std::vector<BoundExprPtr> preds_;
+};
+
+/// Candidate positions of a relation without a CellValue access path, in
+/// scan order: the TableId clustered-index ranges (ids ascending, so
+/// positions ascend too), the Quadrant partial index, or every record.
+struct PositionCandidates {
+  const char* access_path = "full scan";
+  bool from_list = false;
+  std::span<const RecordPos> list;                // from_list
+  std::vector<std::pair<size_t, size_t>> ranges;  // otherwise
+  size_t count = 0;
+};
+
+template <typename Store>
+PositionCandidates CandidatesOf(const ScanSpec& spec, const Store& store) {
+  PositionCandidates c;
+  if (spec.table_in != nullptr) {
+    c.access_path = "TableId clustered index";
     std::vector<int64_t> ids(spec.table_in->in_ints.begin(),
                              spec.table_in->in_ints.end());
     std::sort(ids.begin(), ids.end());
@@ -333,15 +358,55 @@ Result<std::vector<RecordPos>> ScanRel(const AnalyzedRel& rel, const Store& stor
     for (int64_t id : ids) {
       if (id < 0 || static_cast<size_t>(id) >= store.NumTables()) continue;
       auto [b, e] = store.TableRange(static_cast<TableId>(id));
-      AppendRangeMorsels(b, e, &morsels);
+      c.ranges.emplace_back(b, e);
+      c.count += e - b;
     }
   } else if (spec.need_quadrant) {
-    // Access path 3: the partial index on Quadrant (correlation seeker's
-    // numeric-cell scan).
-    AppendListMorsels(PostingListRef::Raw(store.QuadrantPositions()), &morsels);
+    c.access_path = "Quadrant partial index";
+    c.from_list = true;
+    c.list = store.QuadrantPositions();
+    c.count = c.list.size();
   } else {
-    // Access path 4: full scan.
-    AppendRangeMorsels(0, store.NumRecords(), &morsels);
+    c.ranges.emplace_back(0, store.NumRecords());
+    c.count = store.NumRecords();
+  }
+  return c;
+}
+
+/// Scan morsels of `cands`: kScanMorselRecords-sized slices of the list or of
+/// each range.
+std::vector<ScanMorsel> CandidateMorsels(const PositionCandidates& cands) {
+  std::vector<ScanMorsel> morsels;
+  if (cands.from_list) {
+    AppendListMorsels(PostingListRef::Raw(cands.list), &morsels);
+  } else {
+    for (const auto& [b, e] : cands.ranges) AppendRangeMorsels(b, e, &morsels);
+  }
+  return morsels;
+}
+
+template <typename Store>
+Result<std::vector<RecordPos>> ScanRel(const AnalyzedRel& rel, const Store& store,
+                                       const Dictionary& dict, Scheduler* sched,
+                                       const QueryControl* control,
+                                       QueryTrace* trace) {
+  const ScanSpec spec = ClassifyScan(rel.scan_pred);
+  // When the TableId IN-list is not the access path it acts as a filter.
+  BLEND_ASSIGN_OR_RETURN(
+      const auto filter,
+      RecordFilter<Store>::Make(spec, store, dict,
+                                /*filter_tables=*/spec.cell_in != nullptr));
+
+  std::vector<ScanMorsel> morsels;
+  if (spec.cell_in != nullptr) {
+    // Access path 1: the in-database hash index on CellValue.
+    for (CellId id : ResolveCellIds(*spec.cell_in, dict)) {
+      AppendListMorsels(store.PostingList(id), &morsels);
+    }
+  } else {
+    // Access paths 2-4: the clustered index on TableId, the partial index on
+    // Quadrant (correlation seeker's numeric-cell scan), or a full scan.
+    morsels = CandidateMorsels(CandidatesOf(spec, store));
   }
 
   // Filter each morsel into its own buffer, then concatenate in morsel order:
@@ -371,16 +436,13 @@ Result<std::vector<RecordPos>> ScanRel(const AnalyzedRel& rel, const Store& stor
         const size_t hi = std::min(batch.size(), mo.end - ord);
         for (size_t i = lo; i < hi; ++i) {
           const RecordPos p = batch[i];
-          if (use_table_filter && table_filter.count(store.table(p)) == 0) {
-            continue;
-          }
-          if (passes(p)) out.push_back(p);
+          if (filter.Passes(p)) out.push_back(p);
         }
       }
     } else {
       for (size_t i = mo.begin; i < mo.end; ++i) {
         RecordPos p = static_cast<RecordPos>(i);
-        if (passes(p)) out.push_back(p);
+        if (filter.Passes(p)) out.push_back(p);
       }
     }
   }));
@@ -429,7 +491,9 @@ Result<StepKeys> ExtractStepKeys(const Expr* join_on, const Binder& binder,
 }
 
 /// One binary hash-join step: extends the joined prefix `rows` with matches
-/// from `scan` (relation index `step_side`). Builds on the smaller input.
+/// from `scan` (relation index `step_side`). `build_on_scan` picks the build
+/// side; callers pass the legacy build-on-the-smaller-input rule
+/// `|full filtered scan| <= |rows|`, which fixes the emission order.
 /// Parallelism: build-side hashes are precomputed in parallel chunks (the
 /// field reads dominate the build), insertion stays serial to preserve exact
 /// bucket order, and the probe side is morselized with per-morsel output
@@ -440,7 +504,7 @@ Result<std::vector<RowCtx>> HashJoinStep(const Store& store,
                                          const std::vector<RowCtx>& rows,
                                          const std::vector<RecordPos>& scan,
                                          const StepKeys& keys, uint8_t step_side,
-                                         Scheduler* sched,
+                                         bool build_on_scan, Scheduler* sched,
                                          const QueryControl* control,
                                          QueryTrace* trace) {
   auto left_hash = [&](const RowCtx& ctx, bool* has_null) {
@@ -491,7 +555,7 @@ Result<std::vector<RowCtx>> HashJoinStep(const Store& store,
 
   const size_t num_chunks_of = kScanMorselRecords;  // probe morsel rows
 
-  if (scan.size() <= rows.size()) {
+  if (build_on_scan) {
     // Build on the new relation, probe with the prefix.
     std::vector<uint64_t> hashes(scan.size());
     std::vector<uint8_t> nulls(scan.size());
@@ -1793,11 +1857,177 @@ std::optional<Result<QueryResult>> TryFusedScanProject(
 }
 
 // ---------------------------------------------------------------------------
+// Key-seek join step. A join step whose ON equates the new relation's
+// (TableId, RowId) with one earlier relation's, where the new relation has
+// no CellValue access path (the correlation seeker's numeric-cell side),
+// skips the relation's up-front scan. It seeks each distinct prefix key's
+// contiguous record group instead (records are table-major, row-major) and
+// filters it with the relation's own ScanSpec. The records found are the
+// ascending subsequence of the full filtered scan whose keys can match: a
+// full-scan record outside it carries a key no prefix row has, so it never
+// passes HashJoinStep's key check. Fed to HashJoinStep under the legacy
+// build-side rule, decided on the full scan's size, the subsequence
+// reproduces the materialized join's emission order byte for byte.
+// ---------------------------------------------------------------------------
+
+/// Distinct prefix keys per key-seek task. A constant, so the task
+/// decomposition depends only on the key count, never on the pool.
+constexpr size_t kKeySeekChunkKeys = 1024;
+
+/// The earlier relation whose (TableId, RowId) the step's equality keys
+/// equate with the new relation's, or nullopt when the step cannot seek.
+/// Further equality keys and residual ON terms stay with HashJoinStep.
+std::optional<uint8_t> KeySeekSide(const StepKeys& keys, const ScanSpec& spec) {
+  if (spec.cell_in != nullptr) return std::nullopt;
+  auto equates = [&](uint8_t side, Field f) {
+    for (size_t i = 0; i < keys.left.size(); ++i) {
+      if (keys.left[i].first == side && keys.left[i].second == f &&
+          keys.right[i] == f) {
+        return true;
+      }
+    }
+    return false;
+  };
+  for (const auto& [side, field] : keys.left) {
+    if (equates(side, Field::kTable) && equates(side, Field::kRow)) return side;
+  }
+  return std::nullopt;
+}
+
+/// Key-seek key side of join step `j` (relation j + 1), or nullopt when the
+/// step hash-joins a full scan of its relation. Rides the galloping-join
+/// planner override: `enable_galloping_join = false` forces the
+/// materialized join. A step whose keys do not bind is not seekable; the
+/// join loop then reports the bind error itself.
+std::optional<uint8_t> PlanKeySeek(const AnalyzedQuery& q, const Binder& binder,
+                                   size_t j, const QueryOptions& options) {
+  if (!options.enable_galloping_join) return std::nullopt;
+  const auto step_side = static_cast<uint8_t>(j + 1);
+  auto keys = ExtractStepKeys(q.join_ons[j], binder, step_side);
+  if (!keys.ok()) return std::nullopt;
+  return KeySeekSide(keys.take(), ClassifyScan(q.rels[step_side].scan_pred));
+}
+
+/// Whether more than `limit` records of `cands` pass `filter`. Counts in
+/// the scan's fixed morsels; a morsel starting after `limit` + 1 records have
+/// passed is skipped, which cannot change the answer.
+template <typename Store>
+Result<bool> MorePassThan(const PositionCandidates& cands,
+                          const RecordFilter<Store>& filter, size_t limit,
+                          Scheduler* sched, const QueryControl* control,
+                          QueryTrace* trace) {
+  const std::vector<ScanMorsel> morsels = CandidateMorsels(cands);
+  std::atomic<size_t> passed{0};
+  BLEND_RETURN_NOT_OK(RunTasks(cands.count > kScanMorselRecords ? sched : nullptr,
+                               control, trace, TraceStage::kKeySeek,
+                               morsels.size(), [&](size_t m) {
+    if (passed.load(std::memory_order_relaxed) > limit) return;
+    const ScanMorsel& mo = morsels[m];
+    size_t n = 0;
+    for (size_t i = mo.begin; i < mo.end; ++i) {
+      n += filter.Passes(cands.from_list ? cands.list[i] : static_cast<RecordPos>(i));
+    }
+    passed.fetch_add(n, std::memory_order_relaxed);
+  }));
+  return passed.load() > limit;
+}
+
+/// A join step's new-relation input: its positions and HashJoinStep's build
+/// side for them.
+struct StepInput {
+  std::vector<RecordPos> positions;
+  bool build_on_scan = false;
+};
+
+/// Seeks relation `rel`'s input to a join step whose prefix side `key_side`
+/// carries the (TableId, RowId) keys: each distinct key's record group,
+/// filtered by the relation's ScanSpec. Records read are at most the
+/// groups of the prefix's rows, never more than a full scan; keys outside a
+/// TableId IN-list are skipped without a search.
+template <typename Store>
+Result<StepInput> KeySeek(const AnalyzedRel& rel, uint8_t key_side,
+                          const std::vector<RowCtx>& rows, const Store& store,
+                          const Dictionary& dict, Scheduler* sched,
+                          const QueryControl* control, QueryTrace* trace) {
+  const ScanSpec spec = ClassifyScan(rel.scan_pred);
+  const char* label = TraceStageName(TraceStage::kKeySeek);
+  if (trace != nullptr) trace->AddCounter(TraceCounter::kKeySeekSteps, 1);
+
+  // Distinct prefix keys, ascending: ascending keys are ascending positions.
+  std::vector<uint64_t> keys;
+  {
+    TraceSpan span(trace, TraceStage::kKeySeek);
+    keys.reserve(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if ((i % kSerialCheckInterval) == kSerialCheckInterval - 1) {
+        BLEND_RETURN_NOT_OK(CheckControl(control, label));
+      }
+      keys.push_back(JoinKeyOf(store, rows[i].pos[key_side]));
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  }
+
+  // The TableId IN-list, when present, was the access path; here it filters.
+  BLEND_ASSIGN_OR_RETURN(
+      const auto filter,
+      RecordFilter<Store>::Make(spec, store, dict, /*filter_tables=*/true));
+  const size_t num_tasks = (keys.size() + kKeySeekChunkKeys - 1) / kKeySeekChunkKeys;
+  std::vector<std::vector<RecordPos>> parts(num_tasks);
+  BLEND_RETURN_NOT_OK(RunTasks(num_tasks > 1 ? sched : nullptr, control, trace,
+                               TraceStage::kKeySeek, num_tasks, [&](size_t t) {
+    const size_t b = t * kKeySeekChunkKeys;
+    const size_t e = std::min(keys.size(), b + kKeySeekChunkKeys);
+    for (size_t i = b; i < e; ++i) {
+      if (!filter.TableAllowed(static_cast<int64_t>(keys[i] >> 32))) continue;
+      const RecordPos lo = JoinKeyLowerBound(store, keys[i]);
+      const RecordPos hi = JoinKeyGroupEnd(store, keys[i], lo);
+      for (RecordPos p = lo; p < hi; ++p) {
+        if (filter.Passes(p)) parts[t].push_back(p);
+      }
+    }
+  }));
+  StepInput in;
+  in.positions = ConcatParts(std::move(parts));
+  if (trace != nullptr) {
+    trace->AddRows(TraceStage::kKeySeek, static_cast<int64_t>(in.positions.size()));
+  }
+
+  // Legacy build-side rule on the full filtered scan's size F: build on the
+  // new relation iff F <= |prefix|. The seek found R <= F records, so R >
+  // |prefix| settles it; an empty R joins nothing either way, and F is at
+  // most the candidate count. Otherwise count F, stopping past |prefix|.
+  const PositionCandidates cands = CandidatesOf(spec, store);
+  if (in.positions.size() > rows.size()) {
+    in.build_on_scan = false;
+  } else if (in.positions.empty() || cands.count <= rows.size()) {
+    in.build_on_scan = true;
+  } else {
+    BLEND_ASSIGN_OR_RETURN(
+        const bool more,
+        MorePassThan(cands, filter, rows.size(), sched, control, trace));
+    in.build_on_scan = !more;
+  }
+  return in;
+}
+
+// ---------------------------------------------------------------------------
 // Describe mode for the generic pipeline. The fast paths describe themselves
 // at their gate (they know their geometry before running); the generic
 // pipeline's plan is derived here from scan metadata and chunk-size
 // constants only — describe must not run ScanRel, join, or charge budgets.
 // ---------------------------------------------------------------------------
+
+/// Plan-text suffix of a ScanSpec's per-record filters (the RowId bound and
+/// residual predicates; access-path conjuncts are described by the caller).
+std::string FilterDetail(const ScanSpec& spec) {
+  std::string out;
+  if (spec.row_lt >= 0) out += "; RowId < " + std::to_string(spec.row_lt);
+  if (!spec.residual.empty()) {
+    out += "; " + std::to_string(spec.residual.size()) + " residual preds";
+  }
+  return out;
+}
 
 /// Plan node for one generic-pipeline relation scan, mirroring ScanRel's
 /// access-path choice and exact morsel geometry without touching postings.
@@ -1820,42 +2050,38 @@ PlanNode DescribeScanNode(const AnalyzedRel& rel, const Store& store,
     }
     node.detail = "CellValue index: " + std::to_string(cells.size()) + " cells";
     if (spec.table_in != nullptr) node.detail += "; TableId filter";
-  } else if (spec.table_in != nullptr) {
-    std::vector<int64_t> ids(spec.table_in->in_ints.begin(),
-                             spec.table_in->in_ints.end());
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    size_t valid = 0;
-    for (int64_t id : ids) {
-      if (id < 0 || static_cast<size_t>(id) >= store.NumTables()) continue;
-      ++valid;
-      auto [b, e] = store.TableRange(static_cast<TableId>(id));
-      records += e - b;
-      tasks += (e - b + kScanMorselRecords - 1) / kScanMorselRecords;
-    }
-    node.detail =
-        "TableId clustered index: " + std::to_string(valid) + " tables";
-  } else if (spec.need_quadrant) {
-    const size_t n = store.QuadrantPositions().size();
-    records = n;
-    tasks = (n + kScanMorselRecords - 1) / kScanMorselRecords;
-    node.detail = "Quadrant partial index";
   } else {
-    const size_t n = store.NumRecords();
-    records = n;
-    tasks = (n + kScanMorselRecords - 1) / kScanMorselRecords;
-    node.detail = "full scan";
+    const PositionCandidates cands = CandidatesOf(spec, store);
+    records = cands.count;
+    tasks = CandidateMorsels(cands).size();
+    node.detail = cands.access_path;
+    if (spec.table_in != nullptr) {
+      node.detail += ": " + std::to_string(cands.ranges.size()) + " tables";
+    }
   }
-  if (spec.row_lt >= 0) {
-    node.detail += "; RowId < " + std::to_string(spec.row_lt);
-  }
-  if (!spec.residual.empty()) {
-    node.detail +=
-        "; " + std::to_string(spec.residual.size()) + " residual preds";
-  }
+  node.detail += FilterDetail(spec);
   node.detail += "; morsel=" + std::to_string(kScanMorselRecords) + " records";
   node.est_rows = static_cast<int64_t>(records);
   node.planned_tasks = static_cast<int64_t>(tasks);
+  return node;
+}
+
+/// Plan node for a relation a key-seek join step serves: the prefix relation
+/// carrying the keys and the relation's own filters. Rows and tasks follow
+/// the prefix, so both stay unknown.
+PlanNode DescribeKeySeekNode(const AnalyzedRel& rel, size_t r, uint8_t key_side,
+                             int depth) {
+  const ScanSpec spec = ClassifyScan(rel.scan_pred);
+  PlanNode node;
+  node.depth = depth;
+  node.op = "KeySeek";
+  node.stage = TraceStage::kKeySeek;
+  node.detail = "rel " + std::to_string(r) + ": seeks rel " +
+                std::to_string(key_side) + "'s (TableId, RowId) groups";
+  if (spec.table_in != nullptr) node.detail += "; TableId filter";
+  node.detail += FilterDetail(spec);
+  if (spec.need_quadrant) node.detail += "; Quadrant IS NOT NULL";
+  node.detail += "; " + std::to_string(kKeySeekChunkKeys) + " keys/task";
   return node;
 }
 
@@ -1911,7 +2137,12 @@ void DescribeGenericPipeline(const AnalyzedQuery& q, const SelectStmt& stmt,
         "residual WHERE; " + std::to_string(kAggChunkRows) + "-row chunks";
     describe->nodes.push_back(std::move(filter));
   }
+  std::vector<Binder::RelColumns> rel_cols;
+  for (const auto& rel : q.rels) rel_cols.push_back(rel.visible);
+  const Binder binder(&dict, rel_cols);
+  std::vector<std::optional<uint8_t>> seek_side(q.rels.size());
   for (size_t j = 0; j < q.join_ons.size(); ++j) {
+    seek_side[j + 1] = PlanKeySeek(q, binder, j, options);
     PlanNode join;
     join.depth = 1;
     join.op = "HashJoin";
@@ -1929,6 +2160,11 @@ void DescribeGenericPipeline(const AnalyzedQuery& q, const SelectStmt& stmt,
   }
   const int scan_depth = q.rels.size() > 1 ? 2 : 1;
   for (size_t r = 0; r < q.rels.size(); ++r) {
+    if (seek_side[r].has_value()) {
+      describe->nodes.push_back(
+          DescribeKeySeekNode(q.rels[r], r, *seek_side[r], scan_depth));
+      continue;
+    }
     PlanNode scan = DescribeScanNode(q.rels[r], store, dict, scan_depth);
     scan.detail = "rel " + std::to_string(r) + ": " + scan.detail;
     describe->nodes.push_back(std::move(scan));
@@ -1982,21 +2218,26 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
   // bytes, released when the query finishes.
   ScopedMemoryCharge mem(control);
 
-  // 1. Scans.
-  std::vector<std::vector<RecordPos>> scans;
-  int64_t scan_bytes = 0;
-  for (const auto& rel : q.rels) {
-    BLEND_ASSIGN_OR_RETURN(auto positions,
-                           ScanRel(rel, store, dict, sched, control, trace));
-    scan_bytes += static_cast<int64_t>(positions.size() * sizeof(RecordPos));
-    BLEND_RETURN_NOT_OK(mem.ChargeTo(scan_bytes));
-    scans.push_back(std::move(positions));
-  }
-
   // Binder over the visible (outer) schema.
   std::vector<Binder::RelColumns> rel_cols;
   for (const auto& rel : q.rels) rel_cols.push_back(rel.visible);
   Binder binder(&dict, rel_cols);
+
+  // 1. Scans. A relation a key seek can serve is not scanned up front; its
+  // step seeks it once the prefix is known.
+  std::vector<std::optional<uint8_t>> seek_side(q.rels.size());
+  for (size_t j = 0; j < q.join_ons.size(); ++j) {
+    seek_side[j + 1] = PlanKeySeek(q, binder, j, options);
+  }
+  std::vector<std::vector<RecordPos>> scans(q.rels.size());
+  int64_t scan_bytes = 0;
+  for (size_t r = 0; r < q.rels.size(); ++r) {
+    if (seek_side[r].has_value()) continue;
+    BLEND_ASSIGN_OR_RETURN(scans[r],
+                           ScanRel(q.rels[r], store, dict, sched, control, trace));
+    scan_bytes += static_cast<int64_t>(scans[r].size() * sizeof(RecordPos));
+    BLEND_RETURN_NOT_OK(mem.ChargeTo(scan_bytes));
+  }
 
   // 2. Join chain (or single-relation row stream).
   std::vector<RowCtx> rows;
@@ -2012,9 +2253,21 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
     const uint8_t step_side = static_cast<uint8_t>(j + 1);
     BLEND_ASSIGN_OR_RETURN(StepKeys keys,
                            ExtractStepKeys(q.join_ons[j], binder, step_side));
-    BLEND_ASSIGN_OR_RETURN(rows,
-                           HashJoinStep(store, rows, scans[step_side], keys,
-                                        step_side, sched, control, trace));
+    std::vector<RecordPos>& scan = scans[step_side];
+    bool build_on_scan = scan.size() <= rows.size();
+    if (seek_side[step_side].has_value()) {
+      BLEND_ASSIGN_OR_RETURN(
+          StepInput in,
+          KeySeek(q.rels[step_side], *seek_side[step_side], rows, store, dict,
+                  sched, control, trace));
+      scan = std::move(in.positions);
+      build_on_scan = in.build_on_scan;
+      scan_bytes += static_cast<int64_t>(scan.size() * sizeof(RecordPos));
+      BLEND_RETURN_NOT_OK(mem.ChargeTo(
+          scan_bytes + static_cast<int64_t>(rows.size() * sizeof(RowCtx))));
+    }
+    BLEND_ASSIGN_OR_RETURN(rows, HashJoinStep(store, rows, scan, keys, step_side,
+                                              build_on_scan, sched, control, trace));
     BLEND_RETURN_NOT_OK(mem.ChargeTo(
         scan_bytes + static_cast<int64_t>(rows.size() * sizeof(RowCtx))));
   }

@@ -52,13 +52,18 @@ struct QueryOptions {
   /// phase-1 projection shape. Switchable so benches can report the
   /// fused-vs-generic ratio and tests can cross-check the two paths.
   bool enable_fused_scan_agg = true;
-  /// Enables the galloping compressed-domain intersection for the MC join
-  /// shape (pure posting-backed equi-joins on (TableId, RowId)): instead of
-  /// materializing both sides and hash-joining, per-relation posting cursors
-  /// leapfrog in key space via skip-table SeekAtLeast, never decoding blocks
-  /// that cannot contain a match. Results — values and row order — are
-  /// byte-identical to the materialized join. Switchable so benches can
-  /// report the galloping-vs-materialized speedup.
+  /// Planner override for both key-space joins on (TableId, RowId):
+  ///   - the galloping compressed-domain intersection for the MC join shape
+  ///     (pure posting-backed equi-joins): per-relation posting cursors
+  ///     leapfrog in key space via skip-table SeekAtLeast, never decoding
+  ///     blocks that cannot contain a match;
+  ///   - the generic pipeline's key-seek join step: a relation without a
+  ///     CellValue access path (the correlation seeker's numeric-cell side)
+  ///     is not scanned up front; each distinct prefix key's record group is
+  ///     sought instead.
+  /// Results — values and row order — are byte-identical to the
+  /// materialized hash join either way; `false` forces that join so benches
+  /// and tests can A/B the two.
   bool enable_galloping_join = true;
   /// Engine-side dedup-top-k: when dedup_column >= 0, after the final
   /// ORDER BY sort only the first row per distinct value of output column

@@ -95,6 +95,75 @@ TEST_F(IntrospectionTest, RunReportCapturesAnnotatedStatementPlans) {
             std::string::npos);
 }
 
+TEST_F(IntrospectionTest, CorrelationStatementExplainsItsKeySeek) {
+  // A real CorrelationSeeker statement. With the galloping override on, the
+  // numeric-cell relation is a key-seek node driven by the keys relation and
+  // ANALYZE reports its own actuals; with it off, the
+  // plan is the Quadrant partial-index scan feeding the hash join. The rows
+  // are the same either way.
+  Blend blend(&lake_);
+  std::vector<std::string> keys = SampleCells(0, 0, 30);
+  std::vector<double> targets;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    targets.push_back(static_cast<double>(i % 3));
+  }
+  const std::string sql = CorrelationSeeker(keys, targets, 10).GenerateSql("", -1);
+  auto find_op = [](const sql::PlanDescription& plan,
+                    const std::string& op) -> const sql::PlanNode* {
+    for (const sql::PlanNode& node : plan.nodes) {
+      if (node.op == op && node.detail.rfind("rel 1:", 0) == 0) return &node;
+    }
+    return nullptr;
+  };
+  std::string rows[2];
+  for (bool gallop : {true, false}) {
+    SCOPED_TRACE(gallop ? "override on" : "override off");
+    sql::QueryOptions opts;
+    opts.enable_galloping_join = gallop;
+    auto described = blend.engine().Query("EXPLAIN " + sql, opts);
+    ASSERT_TRUE(described.ok()) << described.status().ToString();
+    const sql::PlanDescription& plan = described.value().plan;
+    EXPECT_EQ(plan.pipeline, "generic");
+    bool has_join = false;
+    for (const sql::PlanNode& node : plan.nodes) has_join |= node.op == "HashJoin";
+    EXPECT_TRUE(has_join);
+    const sql::PlanNode* seek = find_op(plan, "KeySeek");
+    const sql::PlanNode* scan = find_op(plan, "Scan");
+    if (gallop) {
+      ASSERT_NE(seek, nullptr) << described.value().explain_text;
+      EXPECT_EQ(scan, nullptr);
+      EXPECT_EQ(seek->stage, TraceStage::kKeySeek);
+      EXPECT_NE(seek->detail.find("seeks rel 0"), std::string::npos) << seek->detail;
+      EXPECT_NE(seek->detail.find("Quadrant IS NOT NULL"), std::string::npos);
+    } else {
+      EXPECT_EQ(seek, nullptr);
+      ASSERT_NE(scan, nullptr) << described.value().explain_text;
+      EXPECT_NE(scan->detail.find("Quadrant partial index"), std::string::npos);
+    }
+
+    auto analyzed = blend.engine().Query("EXPLAIN ANALYZE " + sql, opts);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    for (const auto& row : analyzed.value().rows) {
+      for (const auto& v : row) {
+        char buf[40];
+        snprintf(buf, sizeof(buf), "%d:%lld:%.17g,", static_cast<int>(v.kind),
+                 static_cast<long long>(v.i), v.d);
+        rows[gallop ? 0 : 1] += buf;
+      }
+    }
+    if constexpr (kTelemetryEnabled) {
+      if (gallop) {
+        const sql::PlanNode* annotated = find_op(analyzed.value().plan, "KeySeek");
+        ASSERT_NE(annotated, nullptr);
+        EXPECT_GE(annotated->actual_tasks, 1);
+        EXPECT_GE(annotated->actual_rows, 0);
+      }
+    }
+  }
+  EXPECT_FALSE(rows[0].empty());
+  EXPECT_EQ(rows[0], rows[1]);
+}
+
 TEST_F(IntrospectionTest, PlanCaptureIsPureObservation) {
   Blend::Options plain_opts;
   Blend plain(&lake_, plain_opts);

@@ -167,6 +167,54 @@ TEST_F(ResilienceTest, TinyMemoryBudgetReturnsResourceExhausted) {
   }
 }
 
+TEST_F(ResilienceTest, CorrelationKeySeekUnderControlsIsFullResultOrStatus) {
+  // The C seeker's join seeks the numeric-cell side from its keys. An
+  // expired deadline, a cancel and a tiny budget each return their Status;
+  // a budget sweep across the statement's peak (the keys scan, the sought
+  // positions, the joined rows) yields kResourceExhausted or the full
+  // byte-identical result, never a partial one.
+  Blend blend(&lake_);
+  const Table& t0 = lake_.table(0);
+  std::vector<std::string> keys;
+  std::vector<double> targets;
+  for (size_t r = 0; r < std::min<size_t>(40, t0.NumRows()); ++r) {
+    keys.push_back(t0.At(r, 0));
+    targets.push_back(static_cast<double>(r % 5));
+  }
+  Plan plan;
+  ASSERT_TRUE(
+      plan.Add("c", std::make_shared<CorrelationSeeker>(keys, targets, 10)).ok());
+  const std::string want = Dump(blend.Run(plan));
+  ASSERT_EQ(want.rfind("ERROR", 0), std::string::npos) << want;
+
+  const QueryControl expired = QueryControl::WithDeadline(std::chrono::nanoseconds(0));
+  auto dead = blend.Run(plan, expired);
+  ASSERT_FALSE(dead.ok());
+  EXPECT_EQ(dead.status().code(), StatusCode::kDeadlineExceeded);
+
+  const QueryControl cancelled = QueryControl::Cancellable();
+  cancelled.Cancel();
+  auto stopped = blend.Run(plan, cancelled);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.status().code(), StatusCode::kCancelled);
+
+  int tripped = 0, completed = 0;
+  for (int64_t budget = 1; budget <= (int64_t{1} << 24); budget *= 2) {
+    const QueryControl control = QueryControl::WithMemoryBudget(budget);
+    auto res = blend.Run(plan, control);
+    if (res.ok()) {
+      ++completed;
+      EXPECT_EQ(want, Dump(res)) << "budget " << budget;
+    } else {
+      ++tripped;
+      EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted)
+          << "budget " << budget << ": " << res.status().ToString();
+    }
+  }
+  EXPECT_GT(tripped, 0);
+  EXPECT_GT(completed, 0);
+}
+
 TEST_F(ResilienceTest, MemoryChargesAreReleasedAfterEachQuery) {
   Blend::Options opts;
   opts.enable_fused_scan_agg = false;

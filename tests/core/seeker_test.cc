@@ -165,15 +165,20 @@ TEST(SeekerSqlTest, RewriteIsInjectedIntoSql) {
   EXPECT_NE(sql.find("AND TableId IN (1,2)"), std::string::npos);
 }
 
-TEST(SeekerSqlTest, CorrelationRewriteReachesBothSubqueries) {
-  // The intersection rewrite prunes both the key scan and the numeric-cell
-  // scan (pushing `TableId IN` into the nums side is semantics-preserving and
-  // is what gives the C seeker its rewrite gain).
+TEST(SeekerSqlTest, CorrelationRewriteAppearsOnce) {
+  // The intersection rewrite prunes the key scan only: the key-seek join
+  // already restricts the numeric-cell side to the keys' tables, so the
+  // rewrite is not repeated in the nums subquery.
+  // CorrelationRewriteRestrictsOutput checks the restricted result.
   CorrelationSeeker c({"k1"}, {1.0}, 5, 64);
-  std::string sql = c.GenerateSql("AND TableId IN (3,4)", 5);
-  size_t first = sql.find("AND TableId IN (3,4)");
-  ASSERT_NE(first, std::string::npos);
-  EXPECT_NE(sql.find("AND TableId IN (3,4)", first + 1), std::string::npos);
+  for (const std::string rewrite :
+       {"AND TableId IN (3,4)", "AND TableId NOT IN (3,4)"}) {
+    const std::string sql = c.GenerateSql(rewrite, 5);
+    const size_t first = sql.find(rewrite);
+    ASSERT_NE(first, std::string::npos) << rewrite;
+    EXPECT_EQ(sql.find(rewrite, first + 1), std::string::npos) << rewrite;
+    EXPECT_LT(first, sql.find(") AS keys")) << rewrite;
+  }
 }
 
 TEST(SeekerTest, CorrelationRewriteRestrictsOutput) {

@@ -239,6 +239,145 @@ TEST_P(EngineDeterminismTest, CorrelationShape) {
       "ORDER BY score DESC LIMIT 15;");
 }
 
+/// Key-seek join statements: no GROUP BY / ORDER BY, so the raw join
+/// emission order is the output order and any divergence from the
+/// materialized hash join (galloping override off) shows directly. Each runs
+/// the full determinism matrix, then a traced run pins how many join steps
+/// the key seek served.
+class KeySeekDeterminismTest : public EngineDeterminismTest {
+ protected:
+  void ExpectKeySeekDeterministic(const std::string& sql, int64_t seek_steps) {
+    ExpectDeterministic(sql);
+    if constexpr (!kTelemetryEnabled) return;
+    for (bool gallop : {true, false}) {
+      QueryTrace trace;
+      QueryOptions opts;
+      opts.scheduler = Scheduler::Serial();
+      opts.enable_galloping_join = gallop;
+      opts.trace = &trace;
+      ASSERT_TRUE(col_engine_->Query(sql, opts).ok()) << sql;
+      const QueryTraceSummary s = trace.Summary();
+      EXPECT_EQ(s.CounterValue(TraceCounter::kKeySeekSteps), gallop ? seek_steps : 0)
+          << "gallop=" << gallop << "\n" << sql;
+    }
+  }
+
+  static std::string NumsSide(const std::string& where) {
+    return "(SELECT TableId, RowId, ColumnId, Quadrant FROM AllTables WHERE " + where +
+           ") AS n";
+  }
+  static constexpr const char* kOnKeys =
+      " ON k.TableId = n.TableId AND k.RowId = n.RowId AND k.ColumnId <> n.ColumnId";
+  static constexpr const char* kSelect =
+      "SELECT k.TableId, k.RowId, k.ColumnId, n.ColumnId, n.Quadrant FROM ";
+};
+
+TEST_P(KeySeekDeterminismTest, ProbesWithSoughtRecordsWhenTheyOutnumberThePrefix) {
+  // Full-scan access path on the seeking relation: every cell of a key's row
+  // passes, so the sought records outnumber the prefix and the step probes
+  // with them.
+  Rng rng(GetParam() * 79 + 12);
+  ExpectKeySeekDeterministic(
+      std::string(kSelect) +
+          "(SELECT TableId, RowId, ColumnId FROM AllTables WHERE RowId < 64 AND "
+          "CellValue IN (" +
+          RandomInList(&rng, 25) +
+          ")) AS k INNER JOIN (SELECT TableId, RowId, ColumnId, Quadrant FROM "
+          "AllTables WHERE RowId < 64) AS n" +
+          kOnKeys + ";",
+      1);
+  // The same step over the AllTables base relation (no scan predicate).
+  ExpectKeySeekDeterministic(
+      std::string(kSelect) +
+          "(SELECT TableId, RowId, ColumnId FROM AllTables WHERE CellValue IN (" +
+          RandomInList(&rng, 25) + ")) AS k INNER JOIN AllTables AS n" + kOnKeys + ";",
+      1);
+}
+
+TEST_P(KeySeekDeterminismTest, BuildsOnTheFullScanWhenItFitsThePrefix) {
+  // A wide prefix (every cell of rows < 40) against numeric cells of rows
+  // < 2: the full filtered scan is no larger than the prefix, so the legacy
+  // rule builds on the new relation and the bounded count must find that.
+  ExpectKeySeekDeterministic(
+      std::string(kSelect) +
+          "(SELECT TableId, RowId, ColumnId FROM AllTables WHERE RowId < 40) AS k "
+          "INNER JOIN " +
+          NumsSide("RowId < 2 AND Quadrant IS NOT NULL") + kOnKeys + ";",
+      1);
+  // The same over a full-scan access path: every record is a candidate, so
+  // the count cannot be settled by the candidate count and walks the scan.
+  ExpectKeySeekDeterministic(
+      std::string(kSelect) +
+          "(SELECT TableId, RowId, ColumnId FROM AllTables WHERE RowId < 40) AS k "
+          "INNER JOIN " +
+          NumsSide("RowId < 2") + kOnKeys + ";",
+      1);
+}
+
+TEST_P(KeySeekDeterminismTest, ProbesWhenOnlyTheFullScanOutnumbersThePrefix) {
+  // |sought| <= |prefix| < |full filtered scan|: each prefix row is one of
+  // several cells of its row while only the numeric ones are sought, yet the
+  // lake's numeric cells outnumber the prefix. The bounded count must stop
+  // past |prefix| and keep the probe-with-scan orientation.
+  ExpectKeySeekDeterministic(
+      std::string(kSelect) +
+          "(SELECT TableId, RowId, ColumnId FROM AllTables "
+          "WHERE TableId IN (1, 4, 9) AND RowId < 30) AS k INNER JOIN " +
+          NumsSide("RowId < 64 AND Quadrant IS NOT NULL") + kOnKeys + ";",
+      1);
+}
+
+TEST_P(KeySeekDeterminismTest, EmptyPrefixJoinsNothing) {
+  // The feature-discovery plan's NOT IN rewrite can filter the keys side
+  // away entirely; the seek then finds nothing and the result is empty.
+  Rng rng(GetParam() * 83 + 13);
+  std::string every_table;
+  for (size_t t = 0; t < lake_.NumTables(); ++t) {
+    every_table += (t == 0 ? "" : ", ") + std::to_string(t);
+  }
+  const std::string sql =
+      std::string(kSelect) +
+      "(SELECT TableId, RowId, ColumnId FROM AllTables WHERE CellValue IN (" +
+      RandomInList(&rng, 25) + ") AND TableId NOT IN (" + every_table +
+      ")) AS k INNER JOIN " + NumsSide("RowId < 64 AND Quadrant IS NOT NULL") +
+      kOnKeys + ";";
+  ExpectKeySeekDeterministic(sql, 1);
+  auto res = col_engine_->Query(sql);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(res.value().NumRows(), 0u);
+}
+
+TEST_P(KeySeekDeterminismTest, TableIdAccessPathOnTheSeekingRelation) {
+  // The seeking relation's TableId IN-list was its access path; under the
+  // seek it filters the sought groups instead.
+  Rng rng(GetParam() * 89 + 14);
+  std::string even_tables;
+  for (size_t t = 0; t < lake_.NumTables(); t += 2) {
+    even_tables += (t == 0 ? "" : ", ") + std::to_string(t);
+  }
+  ExpectKeySeekDeterministic(
+      std::string(kSelect) +
+          "(SELECT TableId, RowId, ColumnId FROM AllTables WHERE CellValue IN (" +
+          RandomInList(&rng, 40) + ")) AS k INNER JOIN " +
+          NumsSide("TableId IN (" + even_tables + ") AND Quadrant IS NOT NULL") +
+          kOnKeys + ";",
+      1);
+}
+
+TEST_P(KeySeekDeterminismTest, ThreeRelationChainSeeksOnRelationOne) {
+  // Step 1 seeks on relation 0; step 2 seeks on relation 1's keys.
+  Rng rng(GetParam() * 97 + 15);
+  ExpectKeySeekDeterministic(
+      "SELECT k.TableId, k.RowId, n.ColumnId, c.ColumnId FROM "
+      "(SELECT TableId, RowId, ColumnId FROM AllTables WHERE CellValue IN (" +
+          RandomInList(&rng, 25) + ")) AS k INNER JOIN " +
+          NumsSide("RowId < 64 AND Quadrant IS NOT NULL") + kOnKeys +
+          " INNER JOIN (SELECT TableId, RowId, ColumnId FROM AllTables "
+          "WHERE RowId < 64) AS c ON n.TableId = c.TableId AND n.RowId = c.RowId "
+          "AND c.ColumnId <> n.ColumnId;",
+      2);
+}
+
 TEST_P(EngineDeterminismTest, FullScanAggregatesWithDoubleSums) {
   // SUM/AVG over a full scan exercises the chunk-merge order of the parallel
   // aggregation (floating-point addition is where nondeterminism would show
@@ -586,6 +725,7 @@ TEST_P(EngineDeterminismTest, ConcurrentClientsShareOnePool) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineDeterminismTest, ::testing::Values(1, 2, 3));
+INSTANTIATE_TEST_SUITE_P(Seeds, KeySeekDeterminismTest, ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace blend::sql
