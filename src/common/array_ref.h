@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
+
 namespace blend {
 
 /// Storage seam for the index's fixed-width arrays: the array either owns its
@@ -58,6 +60,20 @@ class PodArray {
     owned_.shrink_to_fit();
     ptr_ = p;
     size_ = n;
+  }
+
+  /// True when the array serves memory it does not own (BindView).
+  bool is_view() const { return ptr_ != owned_.data(); }
+
+  /// Edits an owning array in place: `fn` receives the owned vector and
+  /// data()/size() follow it afterwards. A view has no heap to grow, so
+  /// mutating one is an invariant violation.
+  template <typename Fn>
+  void Mutate(const Fn& fn) {
+    BLEND_CHECK(!is_view(), "cannot mutate an array that views foreign memory");
+    fn(owned_);
+    ptr_ = owned_.data();
+    size_ = owned_.size();
   }
 
   const T* data() const { return ptr_; }

@@ -479,36 +479,16 @@ SnapshotCodec::Gathered SnapshotCodec::Gather(const IndexBundle& bundle,
   g.flags |= (static_cast<uint32_t>(codec) & kFlagCodecMask) << kFlagCodecShift;
   auto& specs = g.specs;
 
-  // Dictionary: CSR offsets over a concatenated value blob (values in id
-  // order), plus the precomputed open-addressing hash table so the load path
-  // performs no hashing or interning at all. The table is a pure function of
-  // the value sequence, which keeps the file deterministic.
+  // Dictionary: its own three arrays, CSR offsets over a concatenated value
+  // blob (values in id order) plus the open-addressing hash table, so the
+  // load path performs no hashing or interning at all. Interning keeps the
+  // table a pure function of the value sequence, which keeps the file
+  // deterministic.
   {
     const Dictionary& dict = bundle.dict_;
-    const size_t n = dict.Size();
-    std::vector<uint64_t> offsets(n + 1, 0);
-    for (size_t id = 0; id < n; ++id) {
-      offsets[id + 1] = offsets[id] + dict.Value(static_cast<CellId>(id)).size();
-    }
-    std::vector<uint8_t> blob(offsets.back());
-    for (size_t id = 0; id < n; ++id) {
-      std::string_view v = dict.Value(static_cast<CellId>(id));
-      std::memcpy(blob.data() + offsets[id], v.data(), v.size());
-    }
-    // Power-of-two table at least twice the value count, so lookups always
-    // hit an empty slot and stay O(1) expected.
-    size_t table_size = 1;
-    while (table_size < 2 * n + 1) table_size <<= 1;
-    std::vector<CellId> slots(table_size, kInvalidCellId);
-    const size_t mask = table_size - 1;
-    for (size_t id = 0; id < n; ++id) {
-      size_t idx = Fnv1a64(dict.Value(static_cast<CellId>(id))) & mask;
-      while (slots[idx] != kInvalidCellId) idx = (idx + 1) & mask;
-      slots[idx] = static_cast<CellId>(id);
-    }
-    specs.emplace_back().Stage(kSecDictOffsets, StagePod(offsets));
-    specs.emplace_back().Stage(kSecDictBlob, std::move(blob));
-    specs.emplace_back().Stage(kSecDictHash, StagePod(slots));
+    specs.emplace_back().View(kSecDictOffsets, dict.offsets_);
+    specs.emplace_back().View(kSecDictBlob, dict.blob_);
+    specs.emplace_back().View(kSecDictHash, dict.hash_slots_);
   }
 
   const SecondaryIndexes* secondary;
@@ -658,16 +638,9 @@ size_t SnapshotCodec::FileBytes(const IndexBundle& bundle, PostingCodec codec) {
   // Mirrors Gather's section list without materializing any payload (the
   // SnapshotBytesMatchesFileSize test pins this to the real writer).
   const Dictionary& dict = bundle.dict_;
-  const size_t num_values = dict.Size();
-  size_t blob = 0;
-  for (size_t id = 0; id < num_values; ++id) {
-    blob += dict.Value(static_cast<CellId>(id)).size();
-  }
-  size_t hash_slots = 1;
-  while (hash_slots < 2 * num_values + 1) hash_slots <<= 1;
-
-  std::vector<size_t> sizes = {(num_values + 1) * sizeof(uint64_t), blob,
-                               hash_slots * sizeof(CellId)};
+  std::vector<size_t> sizes = {dict.offsets_.size() * sizeof(uint64_t),
+                               dict.blob_.size(),
+                               dict.hash_slots_.size() * sizeof(CellId)};
   const size_t n = bundle.NumRecords();
   if (bundle.layout_ == StoreLayout::kRow) {
     sizes.push_back(n * sizeof(IndexRecord));

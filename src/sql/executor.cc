@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -93,6 +94,74 @@ Binder::RelColumns AllFields(const std::string& alias) {
   }
   return rc;
 }
+
+/// Flat open-addressing uint64 -> uint32 index: one slot array, linear
+/// probing from a Fibonacci hash, doubled at half load. Serves every packed
+/// group-key lookup (the fused aggregate's per-posting probe, morsel merge
+/// and dedup reduction, the generic pipeline's packed aggregation) and
+/// TableId IN membership, where a node-based std::unordered_map costs an
+/// allocation per key and a pointer chase per probe.
+class FlatKeyIndex {
+ public:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  explicit FlatKeyIndex(size_t expected = 0) {
+    size_t cap = 16;
+    while (cap < 2 * expected) cap <<= 1;
+    Reset(cap);
+  }
+
+  /// The value mapped to `key`, or kAbsent.
+  uint32_t Find(uint64_t key) const {
+    for (size_t i = Home(key);; i = (i + 1) & mask_) {
+      if (slots_[i].value == kAbsent || slots_[i].key == key) {
+        return slots_[i].value;
+      }
+    }
+  }
+
+  /// {value mapped to `key`, inserted}: maps `key` to `value` first when it
+  /// is new. `value` must not be kAbsent.
+  std::pair<uint32_t, bool> FindOrInsert(uint64_t key, uint32_t value) {
+    size_t i = Home(key);
+    for (; slots_[i].value != kAbsent; i = (i + 1) & mask_) {
+      if (slots_[i].key == key) return {slots_[i].value, false};
+    }
+    slots_[i] = {key, value};
+    if (2 * ++size_ > slots_.size()) Grow();
+    return {value, true};
+  }
+
+ private:
+  struct Slot {
+    uint64_t key = 0;
+    uint32_t value = kAbsent;
+  };
+
+  size_t Home(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  void Reset(size_t cap) {
+    slots_.assign(cap, Slot{});
+    mask_ = cap - 1;
+    shift_ = 64 - std::countr_zero(cap);
+  }
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    Reset(old.size() * 2);
+    for (const Slot& s : old) {
+      if (s.value == kAbsent) continue;
+      size_t i = Home(s.key);
+      while (slots_[i].value != kAbsent) i = (i + 1) & mask_;
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  int shift_ = 0;
+  size_t size_ = 0;
+};
 
 /// Three-way SqlValue comparison; NULL sorts first, NaN sorts last. Ordering
 /// NaN deterministically (plain `<` answers false both ways) keeps Cmp a
@@ -268,14 +337,17 @@ void AppendRangeMorsels(size_t begin, size_t end,
 /// Resolves the IN-list of a CellValue access path to sorted distinct cell
 /// ids. Ascending id order is the canonical scan order: it fixes the output
 /// position sequence independently of IN-list order and of hash-set iteration
-/// quirks, and the fused operator walks the same sequence.
+/// quirks, and the fused operator walks the same sequence. Every IN-list path
+/// (fused aggregate, fused projection, galloping join, ScanRel) resolves here,
+/// probing the dictionary once for the whole batch.
 std::vector<CellId> ResolveCellIds(const Expr& cell_in, const Dictionary& dict) {
-  std::vector<CellId> ids;
-  ids.reserve(cell_in.in_strings.size());
-  for (const auto& s : cell_in.in_strings) {
-    CellId id = dict.Find(NormalizeCell(s));
-    if (id != kInvalidCellId) ids.push_back(id);
-  }
+  std::vector<std::string> normalized;
+  normalized.reserve(cell_in.in_strings.size());
+  for (const auto& s : cell_in.in_strings) normalized.push_back(NormalizeCell(s));
+  const std::vector<std::string_view> values(normalized.begin(), normalized.end());
+  std::vector<CellId> ids(values.size());
+  dict.FindBatch(values, ids.data());
+  ids.erase(std::remove(ids.begin(), ids.end(), kInvalidCellId), ids.end());
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
@@ -295,8 +367,9 @@ class RecordFilter {
     f.need_quadrant_ = spec.need_quadrant;
     if (filter_tables && spec.table_in != nullptr) {
       f.use_table_filter_ = true;
-      f.table_filter_.insert(spec.table_in->in_ints.begin(),
-                             spec.table_in->in_ints.end());
+      for (int64_t t : spec.table_in->in_ints) {
+        f.table_filter_.FindOrInsert(static_cast<uint64_t>(t), 0);
+      }
     }
     Binder binder(&dict, {AllFields("")});
     for (const Expr* c : spec.residual) {
@@ -308,7 +381,8 @@ class RecordFilter {
 
   /// TableId IN membership (true when the filter does not check tables).
   bool TableAllowed(int64_t table) const {
-    return !use_table_filter_ || table_filter_.count(table) != 0;
+    return !use_table_filter_ ||
+           table_filter_.Find(static_cast<uint64_t>(table)) != FlatKeyIndex::kAbsent;
   }
 
   bool Passes(RecordPos p) const {
@@ -331,7 +405,7 @@ class RecordFilter {
   int64_t row_lt_ = -1;
   bool need_quadrant_ = false;
   bool use_table_filter_ = false;
-  std::unordered_set<int64_t> table_filter_;
+  FlatKeyIndex table_filter_;
   std::vector<BoundExprPtr> preds_;
 };
 
@@ -1384,15 +1458,203 @@ Status BindAggOrderBy(const SelectStmt& stmt, const Binder& binder,
 }
 
 // ---------------------------------------------------------------------------
+// Helpers shared by the fused operators.
+// ---------------------------------------------------------------------------
+
+/// Filter suffix of a scan node's detail: the RowId bound and residual count.
+std::string FilterDetail(const ScanSpec& spec) {
+  std::string out;
+  if (spec.row_lt >= 0) out += "; RowId < " + std::to_string(spec.row_lt);
+  if (!spec.residual.empty()) {
+    out += "; " + std::to_string(spec.residual.size()) + " residual preds";
+  }
+  return out;
+}
+
+/// A fused operator's scan input: the IN-list's cells in canonical scan order
+/// (cells ascending, postings in list order), each cell's first global
+/// posting ordinal, and morsels of consecutive whole cells. A posting list is
+/// never split, which the fused aggregate's per-list dedup relies on; packing
+/// cells up to kScanMorselRecords keeps the task count proportional to
+/// records, not IN-list size.
+struct CellMorsels {
+  struct Range {
+    size_t begin, end;
+  };
+  std::vector<CellId> cells;
+  std::vector<size_t> base;  // base[i] = ordinal of cells[i]'s first posting
+  std::vector<Range> morsels;
+
+  size_t postings() const { return base.back(); }
+
+  PlanNode DescribeScan(const ScanSpec& spec) const {
+    PlanNode scan;
+    scan.depth = 1;
+    scan.op = "PostingScan";
+    scan.detail = std::to_string(cells.size()) + " cells";
+    if (spec.table_in != nullptr) scan.detail += "; TableId filter";
+    scan.detail += FilterDetail(spec);
+    scan.est_rows = static_cast<int64_t>(postings());
+    return scan;
+  }
+};
+
+template <typename Store>
+CellMorsels MakeCellMorsels(const Expr& cell_in, const Store& store,
+                            const Dictionary& dict) {
+  CellMorsels m;
+  m.cells = ResolveCellIds(cell_in, dict);
+  const std::vector<CellId>& cells = m.cells;
+  m.base.assign(cells.size() + 1, 0);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    m.base[i + 1] = m.base[i] + store.PostingCount(cells[i]);
+  }
+  size_t mb = 0;
+  while (mb < cells.size()) {
+    size_t me = mb + 1;
+    while (me < cells.size() && m.base[me + 1] - m.base[mb] <= kScanMorselRecords) {
+      ++me;
+    }
+    m.morsels.push_back({mb, me});
+    mb = me;
+  }
+  return m;
+}
+
+// ---------------------------------------------------------------------------
 // Fused scan->aggregate operator for the SC/KW seeker shape:
-//   SELECT TableId[, ColumnId], COUNT(DISTINCT CellValue) ...
+//   SELECT <TableId | ColumnId | COUNT(DISTINCT CellValue)>, ...
 //   FROM AllTables WHERE CellValue IN (...) [AND ...]
-//   GROUP BY TableId[, ColumnId] [ORDER BY ...] [LIMIT n]
+//   GROUP BY TableId[, ColumnId] [ORDER BY <key | aggregate> ...] [LIMIT n]
 // Walks each cell id's posting list and bumps packed-key counters directly:
 // no RecordPos materialization, no RowCtx construction, no per-row SqlValue
 // boxing. COUNT(DISTINCT CellValue) degenerates to "number of posting lists
-// that touch the group", so each list contributes at most 1 per group.
+// that touch the group", so each list contributes at most 1 per group. Every
+// output value and sort key is an int64 of a packed group, so the ORDER BY /
+// dedup-top-k / LIMIT tail ranks packed groups and boxes only the rows it
+// returns.
 // ---------------------------------------------------------------------------
+
+/// One aggregated group of the fused operator.
+struct FusedGroup {
+  uint64_t key;      // TableId | ColumnId << 32
+  size_t first;      // global ordinal of the group's first passing record
+  int64_t count;     // COUNT(DISTINCT CellValue)
+  CellId last_cell;  // per-posting-list dedup marker
+};
+
+/// The int64 columns of a FusedGroup a select item or sort key can name.
+enum class PackedCol : uint8_t { kTable, kColumn, kCount };
+
+int64_t PackedValue(const FusedGroup& g, PackedCol c) {
+  switch (c) {
+    case PackedCol::kTable: return static_cast<uint32_t>(g.key);
+    case PackedCol::kColumn: return static_cast<int64_t>(g.key >> 32);
+    case PackedCol::kCount: return g.count;
+  }
+  return 0;
+}
+
+const char* PackedColName(PackedCol c) {
+  switch (c) {
+    case PackedCol::kTable: return "TableId";
+    case PackedCol::kColumn: return "ColumnId";
+    case PackedCol::kCount: return "COUNT(DISTINCT CellValue)";
+  }
+  return "?";
+}
+
+/// The packed column of a bare group-key or aggregate ref (every aggregate
+/// of a fused statement is the one COUNT(DISTINCT CellValue)); nullopt for
+/// any other expression, which sends the statement to the generic pipeline.
+std::optional<PackedCol> PackedColOf(const BoundExpr& b) {
+  if (b.kind == BKind::kAggRef) return PackedCol::kCount;
+  if (b.kind == BKind::kKeyRef) {
+    return b.ref == 0 ? PackedCol::kTable : PackedCol::kColumn;
+  }
+  return std::nullopt;
+}
+
+/// The fused operator's one tail: ORDER BY, dedup-top-k and LIMIT over
+/// packed groups. It ranks with SortAndLimit's exact comparator — sort keys,
+/// then the output values ascending, then first appearance (no ORDER BY:
+/// first appearance alone) — which is a strict total order because first
+/// appearances are distinct. Hence under dedup the row SortAndLimit keeps
+/// per dedup value (its first after a full sort) is that value's minimum,
+/// and the kept rows come in the order of those minima: reducing to the
+/// minima, then partially sorting to min(dedup_limit, LIMIT) selects exactly
+/// SortAndLimit's rows.
+struct PackedTopK {
+  struct SortKey {
+    PackedCol col;
+    bool desc;
+    std::string name;
+  };
+  std::vector<PackedCol> out;  // select list
+  std::vector<SortKey> sort;   // ORDER BY
+  int dedup = -1;              // select-list index of the dedup column
+  int64_t dedup_limit = -1;
+  int64_t limit = -1;
+
+  bool Less(const FusedGroup& a, const FusedGroup& b) const {
+    if (!sort.empty()) {
+      for (const SortKey& k : sort) {
+        const int64_t x = PackedValue(a, k.col), y = PackedValue(b, k.col);
+        if (x != y) return k.desc ? x > y : x < y;
+      }
+      for (PackedCol c : out) {
+        const int64_t x = PackedValue(a, c), y = PackedValue(b, c);
+        if (x != y) return x < y;
+      }
+    }
+    return a.first < b.first;
+  }
+
+  /// Indices into `groups` of the output rows, in output order.
+  std::vector<uint32_t> Select(const std::vector<FusedGroup>& groups) const {
+    std::vector<uint32_t> idx;
+    size_t k = groups.size();
+    if (dedup >= 0) {
+      const PackedCol col = out[static_cast<size_t>(dedup)];
+      FlatKeyIndex slot_of(groups.size());
+      for (uint32_t i = 0; i < groups.size(); ++i) {
+        const auto v = static_cast<uint64_t>(PackedValue(groups[i], col));
+        auto [slot, inserted] =
+            slot_of.FindOrInsert(v, static_cast<uint32_t>(idx.size()));
+        if (inserted) {
+          idx.push_back(i);
+        } else if (Less(groups[i], groups[idx[slot]])) {
+          idx[slot] = i;
+        }
+      }
+      k = idx.size();
+      if (dedup_limit >= 0) k = std::min(k, static_cast<size_t>(dedup_limit));
+    } else {
+      idx.resize(groups.size());
+      for (uint32_t i = 0; i < idx.size(); ++i) idx[i] = i;
+    }
+    if (limit >= 0) k = std::min(k, static_cast<size_t>(limit));
+    auto less = [&](uint32_t a, uint32_t b) { return Less(groups[a], groups[b]); };
+    const auto kth = idx.begin() + static_cast<ptrdiff_t>(k);
+    std::partial_sort(idx.begin(), kth, idx.end(), less);
+    idx.resize(k);
+    return idx;
+  }
+
+  /// Describe-mode detail, e.g. "score DESC; dedup TableId k=10".
+  std::string Describe(const std::vector<std::string>& columns) const {
+    std::string d = sort.empty() ? "first-appearance order" : "";
+    for (size_t i = 0; i < sort.size(); ++i) {
+      d += (i == 0 ? "" : ", ") + sort[i].name + (sort[i].desc ? " DESC" : "");
+    }
+    if (dedup >= 0) {
+      d += "; dedup " + columns[static_cast<size_t>(dedup)] + " k=" +
+           (dedup_limit < 0 ? std::string("all") : std::to_string(dedup_limit));
+    }
+    if (limit >= 0) d += "; limit " + std::to_string(limit);
+    return d;
+  }
+};
 
 /// Attempts the fused path. Returns nullopt when the statement does not have
 /// the fused shape (including any bind failure — the generic pipeline then
@@ -1436,12 +1698,14 @@ std::optional<Result<QueryResult>> TryFusedScanAgg(const AnalyzedQuery& q,
 
   QueryResult result;
   std::vector<AggSpec> aggs;
-  std::vector<BoundExprPtr> items;
+  PackedTopK tail;
   for (const auto& item : stmt.items) {
     auto b = binder.BindAggExpr(*item.expr, key_exprs, &aggs);
     if (!b.ok()) return std::nullopt;
+    const auto col = PackedColOf(*b.take());
+    if (!col.has_value()) return std::nullopt;
     result.columns.push_back(ItemName(item));
-    items.push_back(b.take());
+    tail.out.push_back(*col);
   }
   std::vector<int> sort_ref;
   std::vector<BoundExprPtr> sort_exprs;
@@ -1450,6 +1714,16 @@ std::optional<Result<QueryResult>> TryFusedScanAgg(const AnalyzedQuery& q,
                       &sort_exprs, &desc)
            .ok()) {
     return std::nullopt;
+  }
+  for (size_t i = 0; i < desc.size(); ++i) {
+    if (sort_ref[i] >= 0) {
+      const auto ref = static_cast<size_t>(sort_ref[i]);
+      tail.sort.push_back({tail.out[ref], desc[i], result.columns[ref]});
+      continue;
+    }
+    const auto col = PackedColOf(*sort_exprs[i]);
+    if (!col.has_value()) return std::nullopt;
+    tail.sort.push_back({*col, desc[i], PackedColName(*col)});
   }
   // Every aggregate (select list and sort keys) must be COUNT(DISTINCT
   // CellValue) for the per-posting-list dedup to be the whole aggregation.
@@ -1460,63 +1734,24 @@ std::optional<Result<QueryResult>> TryFusedScanAgg(const AnalyzedQuery& q,
       return std::nullopt;
     }
   }
-
-  // Residual scan predicates (e.g. the optimizer's `TableId NOT IN (...)`
-  // rewrite) are evaluated per record without materializing anything.
-  Binder scan_binder(&dict, {AllFields("")});
-  std::vector<BoundExprPtr> preds;
-  for (const Expr* c : spec.residual) {
-    auto b = scan_binder.BindRowExpr(*c);
-    if (!b.ok()) return std::nullopt;
-    preds.push_back(b.take());
+  if (options.dedup_column >= 0 &&
+      static_cast<size_t>(options.dedup_column) < tail.out.size()) {
+    tail.dedup = options.dedup_column;
+    tail.dedup_limit = options.dedup_limit;
   }
-  const int64_t row_lt = spec.row_lt;
-  auto passes = [&](RecordPos p) {
-    if (row_lt >= 0 && store.row(p) >= row_lt) return false;
-    for (const auto& pred : preds) {
-      RowCtx ctx;
-      ctx.pos[0] = p;
-      SqlValue v = EvalExpr(*pred, [&](const BoundExpr& b) {
-        return FieldValue(store, b.field, ctx.pos[b.side]);
-      });
-      if (!v.IsTruthy()) return false;
-    }
-    return true;
-  };
+  tail.limit = stmt.limit;
 
-  std::unordered_set<int64_t> table_filter;
-  const bool use_table_filter = spec.table_in != nullptr;
-  if (use_table_filter) {
-    table_filter.insert(spec.table_in->in_ints.begin(),
-                        spec.table_in->in_ints.end());
-  }
+  // The TableId IN filter, RowId bound and residual scan predicates (e.g.
+  // the optimizer's `TableId NOT IN (...)` rewrite) are evaluated per record
+  // without materializing anything.
+  auto made = RecordFilter<Store>::Make(spec, store, dict, /*filter_tables=*/true);
+  if (!made.ok()) return std::nullopt;
+  const RecordFilter<Store> filter = made.take();
 
-  // The same canonical scan order as ScanRel: cells ascending, postings in
-  // list order. `base[i]` is the global ordinal of cell i's first posting;
-  // ordinals order group discovery exactly like the generic pipeline's
-  // first-appearance order, which keeps the two paths byte-identical.
-  const std::vector<CellId> cells = ResolveCellIds(*spec.cell_in, dict);
-  std::vector<size_t> base(cells.size() + 1, 0);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    base[i + 1] = base[i] + store.PostingCount(cells[i]);
-  }
-
-  // Morsels cover whole cells (a posting list is never split): the
-  // per-list dedup below relies on seeing all of a cell's postings in one
-  // morsel.
-  struct CellRange {
-    size_t begin, end;
-  };
-  std::vector<CellRange> morsels;
-  size_t mb = 0;
-  while (mb < cells.size()) {
-    size_t me = mb + 1;
-    while (me < cells.size() && base[me + 1] - base[mb] <= kScanMorselRecords) {
-      ++me;
-    }
-    morsels.push_back({mb, me});
-    mb = me;
-  }
+  // `base[i]` ordinals order group discovery exactly like the generic
+  // pipeline's first-appearance order, which keeps the two paths
+  // byte-identical.
+  const CellMorsels in = MakeCellMorsels(*spec.cell_in, store, dict);
 
   // Describe mode: the gate has passed and the whole-cell morsel packing is
   // decided, so report the plan and bail without scanning.
@@ -1528,45 +1763,26 @@ std::optional<Result<QueryResult>> TryFusedScanAgg(const AnalyzedQuery& q,
                   (with_column ? ", ColumnId" : "") + "; whole-cell morsels <= " +
                   std::to_string(kScanMorselRecords) + " records";
     root.stage = TraceStage::kFusedScan;
-    root.planned_tasks = static_cast<int64_t>(morsels.size());
+    root.planned_tasks = static_cast<int64_t>(in.morsels.size());
     describe->nodes.push_back(std::move(root));
-    PlanNode scan;
-    scan.depth = 1;
-    scan.op = "PostingScan";
-    scan.detail = std::to_string(cells.size()) + " cells";
-    if (use_table_filter) scan.detail += "; TableId filter";
-    if (row_lt >= 0) scan.detail += "; RowId < " + std::to_string(row_lt);
-    if (!preds.empty()) {
-      scan.detail += "; " + std::to_string(preds.size()) + " residual preds";
-    }
-    scan.est_rows = static_cast<int64_t>(base.back());
-    describe->nodes.push_back(std::move(scan));
-    PlanNode tail;
-    tail.depth = 1;
-    tail.op = "EmitGroups";
-    tail.detail = (stmt.order_by.empty()
-                       ? std::string("first-appearance order")
-                       : std::to_string(stmt.order_by.size()) + " sort keys") +
-                  (stmt.limit >= 0 ? "; limit " + std::to_string(stmt.limit)
-                                   : std::string());
-    describe->nodes.push_back(std::move(tail));
+    describe->nodes.push_back(in.DescribeScan(spec));
+    PlanNode top;
+    top.depth = 1;
+    top.op = "PackedTopK";
+    top.detail = tail.Describe(result.columns);
+    top.stage = TraceStage::kAggregationMerge;
+    describe->nodes.push_back(std::move(top));
     return Result<QueryResult>(std::move(result));
   }
 
-  struct FusedGroup {
-    uint64_t key;
-    size_t first;  // global ordinal of the group's first passing record
-    int64_t count;
-    CellId last_cell;  // per-posting-list dedup marker
-  };
-  std::vector<std::vector<FusedGroup>> parts(morsels.size());
+  std::vector<std::vector<FusedGroup>> parts(in.morsels.size());
   Status fused_scan = RunTasks(sched, options.control, options.trace,
-                               TraceStage::kFusedScan, morsels.size(),
+                               TraceStage::kFusedScan, in.morsels.size(),
                                [&](size_t m) {
-    std::unordered_map<uint64_t, uint32_t> index;
+    FlatKeyIndex index;
     std::vector<FusedGroup>& groups_m = parts[m];
-    for (size_t ci = morsels[m].begin; ci < morsels[m].end; ++ci) {
-      const CellId cell = cells[ci];
+    for (size_t ci = in.morsels[m].begin; ci < in.morsels[m].end; ++ci) {
+      const CellId cell = in.cells[ci];
       // Container-at-a-time: each decoded batch feeds the packed counters
       // straight from the cursor's scratch, so the fused path never
       // materializes a posting list regardless of codec.
@@ -1576,22 +1792,19 @@ std::optional<Result<QueryResult>> TryFusedScanAgg(const AnalyzedQuery& q,
         const size_t ord = cur.batch_ordinal();
         for (size_t j = 0; j < batch.size(); ++j) {
           const RecordPos p = batch[j];
-          if (use_table_filter && table_filter.count(store.table(p)) == 0) {
-            continue;
-          }
-          if (!passes(p)) continue;
+          if (!filter.Passes(p)) continue;
           const uint64_t key =
               static_cast<uint64_t>(static_cast<uint32_t>(store.table(p))) |
               (with_column ? static_cast<uint64_t>(
                                  static_cast<uint32_t>(store.column(p)))
                                  << 32
                            : 0);
-          auto [it, inserted] =
-              index.try_emplace(key, static_cast<uint32_t>(groups_m.size()));
+          auto [gi, inserted] =
+              index.FindOrInsert(key, static_cast<uint32_t>(groups_m.size()));
           if (inserted) {
-            groups_m.push_back({key, base[ci] + ord + j, 1, cell});
+            groups_m.push_back({key, in.base[ci] + ord + j, 1, cell});
           } else {
-            FusedGroup& g = groups_m[it->second];
+            FusedGroup& g = groups_m[gi];
             if (g.last_cell != cell) {
               ++g.count;
               g.last_cell = cell;
@@ -1603,44 +1816,40 @@ std::optional<Result<QueryResult>> TryFusedScanAgg(const AnalyzedQuery& q,
   });
   if (!fused_scan.ok()) return Result<QueryResult>(std::move(fused_scan));
 
-  // Merge morsel-local groups in morsel order (group counts are bounded by
-  // tables x columns, so this stays cheap), then order groups by first
-  // appearance — the generic pipeline's group order.
-  std::unordered_map<uint64_t, uint32_t> index;
+  // The tail: merge morsel-local groups in morsel order (group counts are
+  // bounded by tables x columns), rank them packed, and box only the
+  // selected rows.
+  TraceSpan tail_span(options.trace, TraceStage::kAggregationMerge);
+  FlatKeyIndex index(parts.empty() ? 0 : parts[0].size());
   std::vector<FusedGroup> merged;
   for (const auto& part : parts) {
     for (const FusedGroup& g : part) {
-      auto [it, inserted] =
-          index.try_emplace(g.key, static_cast<uint32_t>(merged.size()));
+      auto [gi, inserted] =
+          index.FindOrInsert(g.key, static_cast<uint32_t>(merged.size()));
       if (inserted) {
         merged.push_back(g);
         continue;
       }
-      FusedGroup& into = merged[it->second];
+      FusedGroup& into = merged[gi];
       into.count += g.count;
       into.first = std::min(into.first, g.first);
     }
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const FusedGroup& a, const FusedGroup& b) { return a.first < b.first; });
-
-  std::vector<GroupOut> groups;
-  groups.reserve(merged.size());
-  for (const FusedGroup& g : merged) {
-    GroupOut out;
-    out.keys.push_back(
-        SqlValue::Int(static_cast<int64_t>(static_cast<uint32_t>(g.key))));
-    if (with_column) {
-      out.keys.push_back(SqlValue::Int(static_cast<int64_t>(g.key >> 32)));
+  const std::vector<uint32_t> selected = tail.Select(merged);
+  result.rows.reserve(selected.size());
+  for (uint32_t i : selected) {
+    std::vector<SqlValue>& row = result.rows.emplace_back();
+    row.reserve(tail.out.size());
+    for (PackedCol c : tail.out) {
+      row.push_back(SqlValue::Int(PackedValue(merged[i], c)));
     }
-    out.agg_vals.assign(aggs.size(), SqlValue::Int(g.count));
-    groups.push_back(std::move(out));
   }
   if (options.trace != nullptr) {
     options.trace->AddRows(TraceStage::kFusedScan,
-                           static_cast<int64_t>(groups.size()));
+                           static_cast<int64_t>(merged.size()));
+    options.trace->AddRows(TraceStage::kAggregationMerge,
+                           static_cast<int64_t>(result.rows.size()));
   }
-  EmitGroups(groups, items, sort_ref, sort_exprs, desc, stmt, options, &result);
   return Result<QueryResult>(std::move(result));
 }
 
@@ -1706,55 +1915,14 @@ std::optional<Result<QueryResult>> TryFusedScanProject(
   }
 
   // Scan decorations, mirroring ScanRel's cell access path.
-  Binder scan_binder(&dict, {AllFields("")});
-  std::vector<BoundExprPtr> preds;
-  for (const Expr* c : spec.residual) {
-    auto b = scan_binder.BindRowExpr(*c);
-    if (!b.ok()) return std::nullopt;
-    preds.push_back(b.take());
-  }
-  const int64_t row_lt = spec.row_lt;
-  auto passes = [&](RecordPos p) {
-    if (row_lt >= 0 && store.row(p) >= row_lt) return false;
-    for (const auto& pred : preds) {
-      RowCtx ctx;
-      ctx.pos[0] = p;
-      SqlValue v = EvalExpr(*pred, [&](const BoundExpr& b) {
-        return FieldValue(store, b.field, ctx.pos[b.side]);
-      });
-      if (!v.IsTruthy()) return false;
-    }
-    return true;
-  };
-  std::unordered_set<int64_t> table_filter;
-  const bool use_table_filter = spec.table_in != nullptr;
-  if (use_table_filter) {
-    table_filter.insert(spec.table_in->in_ints.begin(),
-                        spec.table_in->in_ints.end());
-  }
+  auto made = RecordFilter<Store>::Make(spec, store, dict, /*filter_tables=*/true);
+  if (!made.ok()) return std::nullopt;
+  const RecordFilter<Store> filter = made.take();
 
   // Canonical scan order and the same morsel geometry as ScanRel: whole
   // posting lists split at kScanMorselRecords boundaries. Here a morsel spans
-  // consecutive cells instead (projection has no per-list state to protect),
-  // which keeps the task count proportional to records, not IN-list size.
-  const std::vector<CellId> cells = ResolveCellIds(*spec.cell_in, dict);
-  std::vector<size_t> base(cells.size() + 1, 0);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    base[i + 1] = base[i] + store.PostingCount(cells[i]);
-  }
-  struct CellRange {
-    size_t begin, end;
-  };
-  std::vector<CellRange> morsels;
-  size_t mb = 0;
-  while (mb < cells.size()) {
-    size_t me = mb + 1;
-    while (me < cells.size() && base[me + 1] - base[mb] <= kScanMorselRecords) {
-      ++me;
-    }
-    morsels.push_back({mb, me});
-    mb = me;
-  }
+  // consecutive cells instead (projection has no per-list state to protect).
+  const CellMorsels in = MakeCellMorsels(*spec.cell_in, store, dict);
 
   // Describe mode: bail before the memory charge — EXPLAIN must never trip
   // a budget the real query would only reach by materializing rows.
@@ -1766,20 +1934,10 @@ std::optional<Result<QueryResult>> TryFusedScanProject(
                   " items projected from posting batches; morsels <= " +
                   std::to_string(kScanMorselRecords) + " records";
     root.stage = TraceStage::kFusedProject;
-    root.planned_tasks = static_cast<int64_t>(morsels.size());
-    root.est_rows = static_cast<int64_t>(base.back());
+    root.planned_tasks = static_cast<int64_t>(in.morsels.size());
+    root.est_rows = static_cast<int64_t>(in.postings());
     describe->nodes.push_back(std::move(root));
-    PlanNode scan;
-    scan.depth = 1;
-    scan.op = "PostingScan";
-    scan.detail = std::to_string(cells.size()) + " cells";
-    if (use_table_filter) scan.detail += "; TableId filter";
-    if (row_lt >= 0) scan.detail += "; RowId < " + std::to_string(row_lt);
-    if (!preds.empty()) {
-      scan.detail += "; " + std::to_string(preds.size()) + " residual preds";
-    }
-    scan.est_rows = static_cast<int64_t>(base.back());
-    describe->nodes.push_back(std::move(scan));
+    describe->nodes.push_back(in.DescribeScan(spec));
     PlanNode tail;
     tail.depth = 1;
     tail.op = "SortLimit";
@@ -1799,24 +1957,21 @@ std::optional<Result<QueryResult>> TryFusedScanProject(
   ScopedMemoryCharge mem(options.control);
   const size_t width = items.size() + sort_exprs.size();
   BLEND_RETURN_NOT_OK(mem.ChargeTo(
-      static_cast<int64_t>(base.back() * width * sizeof(SqlValue))));
+      static_cast<int64_t>(in.postings() * width * sizeof(SqlValue))));
 
-  std::vector<std::vector<std::vector<SqlValue>>> row_parts(morsels.size());
-  std::vector<std::vector<std::vector<SqlValue>>> sort_parts(morsels.size());
+  std::vector<std::vector<std::vector<SqlValue>>> row_parts(in.morsels.size());
+  std::vector<std::vector<std::vector<SqlValue>>> sort_parts(in.morsels.size());
   Status st = RunTasks(sched, options.control, options.trace,
-                       TraceStage::kFusedProject, morsels.size(),
+                       TraceStage::kFusedProject, in.morsels.size(),
                        [&](size_t m) {
-    for (size_t ci = morsels[m].begin; ci < morsels[m].end; ++ci) {
+    for (size_t ci = in.morsels[m].begin; ci < in.morsels[m].end; ++ci) {
       // Container-at-a-time: project straight from the cursor's decoded
       // batch; the position vector of the two-pass pipeline never exists.
-      PostingCursor cur(store.PostingList(cells[ci]));
+      PostingCursor cur(store.PostingList(in.cells[ci]));
       for (auto batch = cur.NextBatch(); !batch.empty();
            batch = cur.NextBatch()) {
         for (const RecordPos p : batch) {
-          if (use_table_filter && table_filter.count(store.table(p)) == 0) {
-            continue;
-          }
-          if (!passes(p)) continue;
+          if (!filter.Passes(p)) continue;
           RowCtx ctx;
           ctx.pos[0] = p;
           auto leaf = [&](const BoundExpr& b) {
@@ -1843,7 +1998,7 @@ std::optional<Result<QueryResult>> TryFusedScanProject(
 
   std::vector<std::vector<SqlValue>> out_rows;
   std::vector<std::vector<SqlValue>> sort_vals;
-  for (size_t m = 0; m < morsels.size(); ++m) {
+  for (size_t m = 0; m < in.morsels.size(); ++m) {
     for (auto& v : row_parts[m]) out_rows.push_back(std::move(v));
     for (auto& v : sort_parts[m]) sort_vals.push_back(std::move(v));
   }
@@ -2018,16 +2173,6 @@ Result<StepInput> KeySeek(const AnalyzedRel& rel, uint8_t key_side,
 // constants only — describe must not run ScanRel, join, or charge budgets.
 // ---------------------------------------------------------------------------
 
-/// Plan-text suffix of a ScanSpec's per-record filters (the RowId bound and
-/// residual predicates; access-path conjuncts are described by the caller).
-std::string FilterDetail(const ScanSpec& spec) {
-  std::string out;
-  if (spec.row_lt >= 0) out += "; RowId < " + std::to_string(spec.row_lt);
-  if (!spec.residual.empty()) {
-    out += "; " + std::to_string(spec.residual.size()) + " residual preds";
-  }
-  return out;
-}
 
 /// Plan node for one generic-pipeline relation scan, mirroring ScanRel's
 /// access-path choice and exact morsel geometry without touching postings.
@@ -2509,8 +2654,7 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
                                  num_chunks, [&](size_t c) {
       const size_t b = c * kAggChunkRows;
       const size_t e = std::min(n, b + kAggChunkRows);
-      std::unordered_map<uint64_t, uint32_t> index;
-      index.reserve((e - b) / 4 + 16);
+      FlatKeyIndex index;
       std::vector<LocalGroup>& groups_c = chunk_groups[c];
       for (size_t r = b; r < e; ++r) {
         const RowCtx& ctx = rows[r];
@@ -2530,8 +2674,8 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
           groups_c.clear();
           return;
         }
-        auto [it, inserted] =
-            index.try_emplace(key, static_cast<uint32_t>(groups_c.size()));
+        auto [gi, inserted] =
+            index.FindOrInsert(key, static_cast<uint32_t>(groups_c.size()));
         if (inserted) {
           LocalGroup g;
           g.key = key;
@@ -2543,7 +2687,7 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
           g.states.resize(aggs.size());
           groups_c.push_back(std::move(g));
         }
-        update_states(groups_c[it->second].states, ctx);
+        update_states(groups_c[gi].states, ctx);
       }
     }));
     bool any_overflow = false;
@@ -2554,18 +2698,18 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
       BLEND_RETURN_NOT_OK(RunTasks(sched, control, trace,
                                    TraceStage::kAggregationMerge,
                                    kMergePartitions, [&](size_t part) {
-        std::unordered_map<uint64_t, uint32_t> part_index;
+        FlatKeyIndex part_index;
         std::vector<LocalGroup>& merged = part_groups[part];
         for (size_t c = 0; c < num_chunks; ++c) {
           for (LocalGroup& g : chunk_groups[c]) {
             if ((Mix64(g.key) & (kMergePartitions - 1)) != part) continue;
-            auto [it, inserted] =
-                part_index.try_emplace(g.key, static_cast<uint32_t>(merged.size()));
+            auto [gi, inserted] =
+                part_index.FindOrInsert(g.key, static_cast<uint32_t>(merged.size()));
             if (inserted) {
               merged.push_back(std::move(g));
               continue;
             }
-            LocalGroup& into = merged[it->second];
+            LocalGroup& into = merged[gi];
             into.first = std::min(into.first, g.first);
             for (size_t a = 0; a < aggs.size(); ++a) {
               MergeAggState(&into.states[a], &g.states[a]);

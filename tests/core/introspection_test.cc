@@ -164,6 +164,68 @@ TEST_F(IntrospectionTest, CorrelationStatementExplainsItsKeySeek) {
   EXPECT_EQ(rows[0], rows[1]);
 }
 
+TEST_F(IntrospectionTest, ScSeekerStatementExplainsItsPackedTopK) {
+  // A real SCSeeker statement under the dedup-top-k its Execute applies. The
+  // fused aggregate's one tail ranks packed groups: EXPLAIN names its sort
+  // key and dedup spec, and EXPLAIN ANALYZE attributes the tail's time and
+  // output rows to the aggregation-merge stage. An expression-shaped ORDER BY
+  // leaves the fused gate for the generic pipeline with the same rows.
+  Blend blend(&lake_);
+  const std::string sql = SCSeeker(SampleCells(0, 0, 20), 8).GenerateSql("", -1);
+  sql::QueryOptions opts;
+  opts.dedup_column = 0;
+  opts.dedup_limit = 8;
+  auto rows_text = [](const sql::QueryResult& r) {
+    std::string out;
+    for (const auto& row : r.rows) {
+      for (const auto& v : row) out += std::to_string(v.AsInt()) + ",";
+      out += "\n";
+    }
+    return out;
+  };
+  auto find_top = [](const sql::PlanDescription& plan) -> const sql::PlanNode* {
+    for (const sql::PlanNode& node : plan.nodes) {
+      if (node.op == "PackedTopK") return &node;
+    }
+    return nullptr;
+  };
+
+  auto described = blend.engine().Query("EXPLAIN " + sql, opts);
+  ASSERT_TRUE(described.ok()) << described.status().ToString();
+  EXPECT_EQ(described.value().plan.pipeline, "fused-scan-agg");
+  const sql::PlanNode* top = find_top(described.value().plan);
+  ASSERT_NE(top, nullptr) << described.value().explain_text;
+  EXPECT_EQ(top->detail, "score DESC; dedup TableId k=8");
+  EXPECT_EQ(top->stage, TraceStage::kAggregationMerge);
+  EXPECT_NE(described.value().explain_text.find("PackedTopK"), std::string::npos);
+
+  auto bare = blend.engine().Query(sql, opts);
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+  ASSERT_GT(bare.value().NumRows(), 0u);
+  auto analyzed = blend.engine().Query("EXPLAIN ANALYZE " + sql, opts);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_EQ(rows_text(bare.value()), rows_text(analyzed.value()));
+  if constexpr (kTelemetryEnabled) {
+    const sql::PlanNode* annotated = find_top(analyzed.value().plan);
+    ASSERT_NE(annotated, nullptr);
+    EXPECT_EQ(annotated->actual_tasks, 1);
+    EXPECT_GE(annotated->actual_seconds, 0);
+    EXPECT_EQ(annotated->actual_rows, static_cast<int64_t>(bare.value().NumRows()));
+  }
+
+  std::string expr_sql = sql;
+  const std::string order = "ORDER BY score DESC";
+  const size_t at = expr_sql.find(order);
+  ASSERT_NE(at, std::string::npos) << sql;
+  expr_sql.replace(at, order.size(), "ORDER BY COUNT(DISTINCT CellValue) * 2 DESC");
+  auto generic_plan = blend.engine().Query("EXPLAIN " + expr_sql, opts);
+  ASSERT_TRUE(generic_plan.ok()) << generic_plan.status().ToString();
+  EXPECT_EQ(generic_plan.value().plan.pipeline, "generic");
+  auto generic = blend.engine().Query(expr_sql, opts);
+  ASSERT_TRUE(generic.ok()) << generic.status().ToString();
+  EXPECT_EQ(rows_text(bare.value()), rows_text(generic.value()));
+}
+
 TEST_F(IntrospectionTest, PlanCaptureIsPureObservation) {
   Blend::Options plain_opts;
   Blend plain(&lake_, plain_opts);

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hashing.h"
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "core/blend.h"
@@ -274,6 +275,76 @@ TEST(SnapshotTest, RewrittenSnapshotIsByteIdenticalOnDisk) {
       std::remove(path_c.c_str());
     }
   }
+}
+
+TEST(SnapshotTest, InMemoryBuildResavesByteIdenticallyFromEitherLoader) {
+  // The writer stages the dictionary's own arrays instead of re-hashing its
+  // values. Two properties make that safe: the file of an in-memory build
+  // equals a re-save after ReadSnapshot and after OpenSnapshot, and its hash
+  // section equals the table an id-order rebuild over the values computes
+  // (power of two >= 2n+1 slots, FNV-1a, linear probing) — the table the
+  // writer used to compute itself.
+  constexpr uint32_t kSecIdDictHash = 16;
+  DataLake lake = TestLake(19);
+  for (StoreLayout layout : {StoreLayout::kColumn, StoreLayout::kRow}) {
+    SCOPED_TRACE("layout=" + std::to_string(static_cast<int>(layout)));
+    IndexBundle built = BuildBundle(lake, layout, /*shuffle=*/false);
+    const std::string path_a = TempPath("resave_a");
+    const std::string path_b = TempPath("resave_b");
+    ASSERT_TRUE(WriteSnapshot(built, path_a).ok());
+    const std::vector<uint8_t> direct = Slurp(path_a);
+    for (bool zero_copy : {false, true}) {
+      auto loaded = zero_copy ? OpenSnapshot(path_a) : ReadSnapshot(path_a);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      ASSERT_TRUE(WriteSnapshot(loaded.value(), path_b).ok());
+      EXPECT_EQ(direct, Slurp(path_b)) << "zero_copy=" << zero_copy;
+    }
+
+    const Dictionary& dict = built.dictionary();
+    const size_t n = dict.Size();
+    size_t table_size = 1;
+    while (table_size < 2 * n + 1) table_size <<= 1;
+    std::vector<CellId> rebuilt(table_size, kInvalidCellId);
+    for (CellId id = 0; id < static_cast<CellId>(n); ++id) {
+      size_t idx = Fnv1a64(dict.Value(id)) & (table_size - 1);
+      while (rebuilt[idx] != kInvalidCellId) idx = (idx + 1) & (table_size - 1);
+      rebuilt[idx] = id;
+    }
+    const auto sections = ParseSectionTable(direct);
+    const SectionInfo& hash = sections[SectionIndexOf(sections, kSecIdDictHash)];
+    ASSERT_EQ(hash.size, table_size * sizeof(CellId));
+    std::vector<CellId> written(table_size);
+    std::memcpy(written.data(), direct.data() + hash.offset, hash.size);
+    EXPECT_EQ(written, rebuilt);
+    std::remove(path_a.c_str());
+    std::remove(path_b.c_str());
+  }
+}
+
+TEST(SnapshotDeathTest, InterningIntoAMappedDictionaryDies) {
+  // An OpenSnapshot dictionary serves its arrays out of the file mapping, so
+  // Intern — even of a value it already holds — is an invariant violation,
+  // never a silent write into a shared mapping. A ReadSnapshot dictionary
+  // owns heap copies and keeps interning.
+  DataLake lake = TestLake();
+  IndexBundle built = BuildBundle(lake, StoreLayout::kColumn, /*shuffle=*/false);
+  const std::string path = TempPath("intern_mapped");
+  ASSERT_TRUE(WriteSnapshot(built, path).ok());
+  auto mapped = OpenSnapshot(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  Dictionary& view = mapped.value().dictionary();
+  ASSERT_GT(view.Size(), 0u);
+  EXPECT_DEATH(view.Intern("a value no lake holds"), "BLEND_CHECK failed");
+  EXPECT_DEATH(view.Intern(view.Value(0)), "BLEND_CHECK failed");
+
+  auto heap = ReadSnapshot(path);
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  Dictionary& owned = heap.value().dictionary();
+  const size_t before = owned.Size();
+  EXPECT_EQ(owned.Intern(owned.Value(0)), 0u);
+  EXPECT_EQ(owned.Intern("a value no lake holds"), static_cast<CellId>(before));
+  EXPECT_EQ(owned.Find("a value no lake holds"), static_cast<CellId>(before));
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, SnapshotBytesMatchesFileSize) {

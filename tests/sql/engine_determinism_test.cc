@@ -99,14 +99,18 @@ class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
   /// Runs `sql` serially on the raw-served engine as the reference, then
   /// asserts every (serving codec, pool, fused, galloping) combination
   /// reproduces it exactly on both layouts. The galloping dimension is only
-  /// swept for join statements — it cannot engage anywhere else.
-  void ExpectDeterministic(const std::string& sql) {
+  /// swept for join statements — it cannot engage anywhere else. Every run,
+  /// the reference included, applies the given engine-side dedup-top-k.
+  void ExpectDeterministic(const std::string& sql, int dedup_column = -1,
+                           int64_t dedup_limit = -1) {
     const bool has_join = sql.find("JOIN") != std::string::npos;
     const std::vector<bool> gallop_dims =
         has_join ? std::vector<bool>{true, false} : std::vector<bool>{true};
     for (const EnginePair& pair : EnginePairs()) {
       QueryOptions serial;
       serial.scheduler = Scheduler::Serial();
+      serial.dedup_column = dedup_column;
+      serial.dedup_limit = dedup_limit;
       auto ref = pair.raw->Query(sql, serial);
       ASSERT_TRUE(ref.ok()) << ref.status().ToString() << "\n" << sql;
       const std::string want = ResultToString(ref.value());
@@ -118,12 +122,15 @@ class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
               opts.scheduler = pool;
               opts.enable_fused_scan_agg = fused;
               opts.enable_galloping_join = gallop;
+              opts.dedup_column = dedup_column;
+              opts.dedup_limit = dedup_limit;
               auto got = engine->Query(sql, opts);
               ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
               EXPECT_EQ(want, ResultToString(got.value()))
                   << "compressed=" << (engine == pair.compressed)
                   << " pool=" << pool->parallelism() << " fused=" << fused
-                  << " gallop=" << gallop << "\n"
+                  << " gallop=" << gallop << " dedup=" << dedup_column << "/"
+                  << dedup_limit << "\n"
                   << sql;
             }
           }
@@ -175,6 +182,51 @@ TEST_P(EngineDeterminismTest, KwShape) {
         "WHERE CellValue IN (" +
         RandomInList(&rng, 10) +
         ") GROUP BY TableId ORDER BY score DESC LIMIT 10;");
+  }
+}
+
+TEST_P(EngineDeterminismTest, AggregateShapesUnderEveryDedupSpec) {
+  // The dedup dimension every SC and C seeker statement runs under
+  // (QueryOptions::dedup_column / dedup_limit), swept over the shapes where
+  // the fused operator's packed dedup-top-k tail could drift from
+  // SortAndLimit: ties at the k-th score, LIMIT on either side of the dedup
+  // limit, ascending and mixed-direction orders, a permuted select list, a
+  // TableId-only grouping, no ORDER BY, an IN-list without dictionary hits,
+  // TableId IN / NOT IN residuals, and one expression-shaped ORDER BY that
+  // the fused gate sends to the generic pipeline.
+  Rng rng(GetParam() * 71 + 11);
+  const std::string in = "CellValue IN (" + RandomInList(&rng, 40) + ")";
+  const std::string sc = "SELECT TableId, ColumnId, COUNT(DISTINCT CellValue) "
+                         "AS score FROM AllTables WHERE ";
+  const std::string permuted = "SELECT ColumnId, TableId, COUNT(DISTINCT CellValue) "
+                               "AS score FROM AllTables WHERE ";
+  const std::string kw = "SELECT TableId, COUNT(DISTINCT CellValue) AS score "
+                         "FROM AllTables WHERE ";
+  const std::string by_col = " GROUP BY TableId, ColumnId";
+  const std::vector<std::string> sqls = {
+      sc + in + by_col + " ORDER BY score DESC LIMIT 3;",
+      sc + in + by_col + " ORDER BY score DESC LIMIT 2;",
+      sc + in + by_col + " ORDER BY score DESC LIMIT 20;",
+      sc + in + by_col + " ORDER BY score;",
+      sc + in + by_col + " ORDER BY TableId DESC, score LIMIT 12;",
+      permuted + in + by_col + " ORDER BY score DESC;",
+      kw + in + " GROUP BY TableId ORDER BY score DESC LIMIT 4;",
+      sc + in + by_col + ";",
+      sc + in + by_col + " LIMIT 6;",
+      sc + "CellValue IN ('zz no such value', 'zz nor this one')" + by_col +
+          " ORDER BY score DESC LIMIT 5;",
+      sc + in + " AND TableId IN (0, 2, 3, 5, 8, 13, 21, 34)" + by_col +
+          " ORDER BY score DESC;",
+      sc + in + " AND TableId NOT IN (1, 4, 9, 16, 25)" + by_col +
+          " ORDER BY score DESC LIMIT 8;",
+      sc + in + by_col + " ORDER BY COUNT(DISTINCT CellValue) * 2 DESC LIMIT 7;",
+  };
+  for (const std::string& sql : sqls) {
+    for (int dedup_column : {-1, 0, 1}) {
+      for (int64_t dedup_limit : {-1, 1, 5}) {
+        ExpectDeterministic(sql, dedup_column, dedup_limit);
+      }
+    }
   }
 }
 
