@@ -88,8 +88,8 @@ std::string KwSql(const std::vector<std::string>& values, int limit) {
 }
 
 /// The MC seeker's phase-1 join shape (seeker.cc GenerateSql): posting-backed
-/// derived tables joined on (TableId, RowId). This is the shape the galloping
-/// cursor×cursor intersection replaces the materialized hash join for.
+/// derived tables joined on (TableId, RowId). With a selective relation 0 the
+/// planner key-seeks relation 1 instead of scanning it.
 std::string McJoinSql(const std::vector<std::string>& a,
                       const std::vector<std::string>& b) {
   return "SELECT T0.TableId AS TableId, T0.RowId AS RowId, T0.SuperKey AS "
@@ -534,14 +534,17 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------------
-  // Compressed-domain execution: the MC phase-1 join served by the galloping
-  // cursor×cursor intersection vs the materialized hash join, on the raw
-  // bundle and on a serve_compressed twin, plus the resident posting
-  // footprint per codec. `--smoke` enforces the acceptance thresholds
-  // (gallop >= 2x on the selective-key shape, compressed resident posting
-  // bytes <= 0.5x raw) so CI fails if either regresses — including the
-  // silent-fallback failure mode where the gallop gate stops matching this
-  // shape and the "speedup" collapses to ~1x.
+  // MC join: the MC phase-1 join on the generic pipeline. On the
+  // selective-key shape the planner's key seek serves the wide relation;
+  // `enable_galloping_join = false` forces the materialized hash join. Both
+  // run on the raw bundle and on a serve_compressed twin, and the resident
+  // posting footprint is reported per codec. A balanced shape (the mc-seek
+  // workload's kind) is reported too, without a timing gate: there the
+  // planner hash-joins. `--smoke` enforces the acceptance thresholds (key
+  // seek >= 2x on the selective-key shape, compressed resident posting bytes
+  // <= 0.5x raw) so CI fails if either regresses; every run checks from
+  // EXPLAIN that the selective shape seeks and the balanced one hash-joins,
+  // so the timing comparison cannot silently compare a path with itself.
   // -------------------------------------------------------------------------
   if (!serving_only) {
     IndexBuildOptions comp_opts;
@@ -552,13 +555,17 @@ int main(int argc, char** argv) {
     // threshold gate measures the join path, not timer noise.
     const int mc_reps = smoke ? 30 : 10;
     // Selective-key shape: a handful of rare probe keys against the lake's
-    // most frequent values. The materialized join decodes and hashes every
+    // most frequent values. The materialized join scans and hashes every
     // posting of both derived tables — dominated by the wide side — while
-    // the gallop is bounded by the tiny probe side and skips (never decodes)
-    // the wide side's non-matching blocks. This is the MC tuple-search
-    // sweet spot: specific example tuples filtered against broad columns.
+    // the key seek reads only the record groups of the probe side's rows.
+    // This is the MC tuple-search sweet spot: specific example tuples
+    // filtered against broad columns.
     const size_t wide = smoke ? 384 : 1024;
     const size_t probe = smoke ? 12 : 24;
+    // Balanced shape: the first two cells of the first row of `balanced`
+    // tables, the column with more postings first, so relation 1 never has
+    // more postings than relation 0.
+    const size_t balanced = 20;
     std::unordered_map<std::string, size_t> freq;
     for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
       const Table& tab = lake.table(t);
@@ -575,29 +582,62 @@ int main(int argc, char** argv) {
                 return a.second != b.second ? a.second > b.second
                                             : a.first < b.first;
               });
-    std::vector<std::string> side_a, side_b;
+    std::vector<std::string> side_a, side_b, bal_a, bal_b;
     for (size_t i = 0; i < by_freq.size() && side_b.size() < wide; ++i) {
       side_b.push_back(by_freq[i].first);
     }
     for (size_t i = by_freq.size(); i-- > 0 && side_a.size() < probe;) {
       side_a.push_back(by_freq[i].first);
     }
+    for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()) &&
+                        bal_a.size() < balanced;
+         ++t) {
+      const Table& tab = lake.table(t);
+      if (tab.NumColumns() < 2 || tab.NumRows() == 0) continue;
+      bal_a.push_back(tab.At(0, 0));
+      bal_b.push_back(tab.At(0, 1));
+    }
+    auto postings = [&](const std::vector<std::string>& values) {
+      std::vector<CellId> ids;
+      for (const std::string& v : values) {
+        ids.push_back(g_col_bundle->dictionary().Find(NormalizeCell(v)));
+      }
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      size_t n = 0;
+      for (CellId id : ids) {
+        if (id != kInvalidCellId) n += g_col_bundle->column_store().PostingCount(id);
+      }
+      return n;
+    };
+    if (postings(bal_a) < postings(bal_b)) std::swap(bal_a, bal_b);
     const std::string mc_sql = McJoinSql(side_a, side_b);
+    const std::string bal_sql = McJoinSql(bal_a, bal_b);
 
-    sql::QueryOptions gallop;
-    gallop.scheduler = Scheduler::Serial();
-    sql::QueryOptions materialized = gallop;
+    sql::QueryOptions planner;
+    planner.scheduler = Scheduler::Serial();
+    sql::QueryOptions materialized = planner;
     materialized.enable_galloping_join = false;
-    sql::QueryOptions gallop_pool;  // morsel-parallel gallop, shared pool
+    sql::QueryOptions planner_pool;  // morsel-parallel, shared pool
 
     sql::Engine raw_engine(g_col_bundle);
     sql::Engine comp_engine(&comp_bundle);
 
-    std::string reference;
-    bool mc_identical = true;
-    double mat_raw = 0, gal_raw = 0, gal_comp = 0, gal_pool_s = 0;
-    TablePrinter mp({"Codec", "Join path", "Threads", "Query", "Speedup"});
+    // The planner's choice, from EXPLAIN: a KeySeek node or none.
+    auto seeks = [&](const std::string& sql) {
+      auto described = raw_engine.Query("EXPLAIN " + sql, planner);
+      if (!described.ok()) return false;
+      for (const sql::PlanNode& node : described.value().plan.nodes) {
+        if (node.op == "KeySeek") return true;
+      }
+      return false;
+    };
+    const bool selective_seeks = seeks(mc_sql);
+    const bool balanced_seeks = seeks(bal_sql);
+
     struct Combo {
+      const char* shape;
+      const std::string* sql;
       const char* codec;
       sql::Engine* engine;
       const sql::QueryOptions* opts;
@@ -605,39 +645,53 @@ int main(int argc, char** argv) {
       const char* threads;
       double* slot;
     };
+    double mat_raw = 0, seek_raw = 0, seek_comp = 0, seek_pool_s = 0;
+    double bal_mat = 0, bal_planner = 0;
     const Combo combos[] = {
-        {"raw", &raw_engine, &materialized, "materialized", "1", &mat_raw},
-        {"raw", &raw_engine, &gallop, "galloping", "1", &gal_raw},
-        {"compressed", &comp_engine, &gallop, "galloping", "1", &gal_comp},
-        {"compressed", &comp_engine, &gallop_pool, "galloping", "pool",
-         &gal_pool_s},
+        {"selective", &mc_sql, "raw", &raw_engine, &materialized, "materialized",
+         "1", &mat_raw},
+        {"selective", &mc_sql, "raw", &raw_engine, &planner, "key seek", "1",
+         &seek_raw},
+        {"selective", &mc_sql, "compressed", &comp_engine, &planner, "key seek",
+         "1", &seek_comp},
+        {"selective", &mc_sql, "compressed", &comp_engine, &planner_pool,
+         "key seek", "pool", &seek_pool_s},
+        {"balanced", &bal_sql, "raw", &raw_engine, &materialized, "materialized",
+         "1", &bal_mat},
+        {"balanced", &bal_sql, "raw", &raw_engine, &planner, "planner (hash)",
+         "1", &bal_planner},
     };
+    std::string reference[2];
+    bool mc_identical = true;
+    TablePrinter mp({"Shape", "Codec", "Join path", "Threads", "Query", "Speedup"});
     for (const Combo& c : combos) {
-      auto res = c.engine->Query(mc_sql, *c.opts);
+      auto res = c.engine->Query(*c.sql, *c.opts);
       if (!res.ok()) {
         std::fprintf(stderr, "MC query failed: %s\n",
                      res.status().ToString().c_str());
         return 1;
       }
       const std::string dump = ResultToString(res.value());
-      if (reference.empty()) {
-        reference = dump;
-      } else if (dump != reference) {
+      std::string& ref = reference[c.sql == &mc_sql ? 0 : 1];
+      if (ref.empty()) {
+        ref = dump;
+      } else if (dump != ref) {
         mc_identical = false;
       }
       // Min-of-3 means: the minimum is the contention-robust estimator for
       // microsecond-scale queries on a shared CI runner, and the threshold
       // gate below needs a stable ratio, not a throughput estimate.
       *c.slot = bench::MeasureSeconds(
-          [&] { (void)c.engine->Query(mc_sql, *c.opts); }, mc_reps);
+          [&] { (void)c.engine->Query(*c.sql, *c.opts); }, mc_reps);
       for (int repeat = 0; repeat < 2; ++repeat) {
         *c.slot = std::min(
             *c.slot, bench::MeasureSeconds(
-                         [&] { (void)c.engine->Query(mc_sql, *c.opts); },
+                         [&] { (void)c.engine->Query(*c.sql, *c.opts); },
                          mc_reps));
       }
-      mp.AddRow({c.codec, c.path, c.threads, bench::FmtSeconds(*c.slot),
-                 TablePrinter::Fmt(mat_raw / *c.slot, 2) + "x"});
+      const double base = c.sql == &mc_sql ? mat_raw : bal_mat;
+      mp.AddRow({c.shape, c.codec, c.path, c.threads, bench::FmtSeconds(*c.slot),
+                 TablePrinter::Fmt(base / *c.slot, 2) + "x"});
     }
 
     const size_t raw_posting =
@@ -648,13 +702,17 @@ int main(int argc, char** argv) {
         raw_posting > 0 ? static_cast<double>(comp_posting) /
                               static_cast<double>(raw_posting)
                         : 1.0;
-    const double gallop_speedup = gal_raw > 0 ? mat_raw / gal_raw : 0.0;
+    const double key_seek_speedup = seek_raw > 0 ? mat_raw / seek_raw : 0.0;
 
-    std::printf("\n%s", mp.Render("MC join: galloping intersection vs "
+    std::printf("\n%s", mp.Render("MC join: planner (key seek / hash join) vs "
                                   "materialized hash join")
                             .c_str());
     std::printf("MC join results are %s across codecs and join paths.\n",
                 mc_identical ? "byte-identical" : "DIVERGENT (BUG)");
+    std::printf("Planner choice (EXPLAIN): selective shape %s, balanced shape "
+                "%s.\n",
+                selective_seeks ? "seeks" : "HASH-JOINS (BUG)",
+                balanced_seeks ? "SEEKS (BUG)" : "hash-joins");
     std::printf("Resident postings: raw %s, compressed %s (%.2fx); "
                 "whole index %s -> %s.\n",
                 bench::FmtBytes(raw_posting).c_str(),
@@ -664,24 +722,36 @@ int main(int argc, char** argv) {
     std::printf(
         "BENCH_compressed_exec.json {\"bench\":\"compressed_exec\","
         "\"smoke\":%s,\"mc_probe_keys\":%zu,\"mc_wide_keys\":%zu,"
-        "\"materialized_seconds\":%.6f,\"gallop_seconds\":%.6f,"
-        "\"gallop_compressed_seconds\":%.6f,\"gallop_pool_seconds\":%.6f,"
-        "\"gallop_speedup\":%.2f,"
+        "\"materialized_seconds\":%.6f,\"key_seek_seconds\":%.6f,"
+        "\"key_seek_compressed_seconds\":%.6f,\"key_seek_pool_seconds\":%.6f,"
+        "\"key_seek_speedup\":%.2f,\"balanced_keys\":%zu,"
+        "\"balanced_materialized_seconds\":%.6f,"
+        "\"balanced_planner_seconds\":%.6f,"
+        "\"selective_seeks\":%s,\"balanced_seeks\":%s,"
         "\"raw_posting_bytes\":%zu,\"compressed_posting_bytes\":%zu,"
         "\"posting_ratio\":%.3f,\"raw_index_bytes\":%zu,"
         "\"compressed_index_bytes\":%zu,\"identical\":%s}\n",
-        smoke ? "true" : "false", probe, wide, mat_raw, gal_raw, gal_comp,
-        gal_pool_s, gallop_speedup, raw_posting, comp_posting, posting_ratio,
-        g_col_bundle->ApproxBytes(), comp_bundle.ApproxBytes(),
-        mc_identical ? "true" : "false");
+        smoke ? "true" : "false", probe, wide, mat_raw, seek_raw, seek_comp,
+        seek_pool_s, key_seek_speedup, balanced, bal_mat, bal_planner,
+        selective_seeks ? "true" : "false", balanced_seeks ? "true" : "false",
+        raw_posting, comp_posting, posting_ratio, g_col_bundle->ApproxBytes(),
+        comp_bundle.ApproxBytes(), mc_identical ? "true" : "false");
     identical = identical && mc_identical;
 
+    if (!selective_seeks || balanced_seeks) {
+      std::fprintf(stderr,
+                   "THRESHOLD FAIL: planner choice: selective shape %s, "
+                   "balanced shape %s (want seek / hash join)\n",
+                   selective_seeks ? "seeks" : "hash-joins",
+                   balanced_seeks ? "seeks" : "hash-joins");
+      thresholds_ok = false;
+    }
     if (smoke) {
-      if (gallop_speedup < 2.0) {
+      if (key_seek_speedup < 2.0) {
         std::fprintf(stderr,
-                     "THRESHOLD FAIL: gallop speedup %.2fx < 2x (did the "
-                     "galloping gate stop matching the MC shape?)\n",
-                     gallop_speedup);
+                     "THRESHOLD FAIL: key seek speedup %.2fx < 2x (did the "
+                     "planner stop seeking the MC shape's wide side?)\n",
+                     key_seek_speedup);
         thresholds_ok = false;
       }
       if (posting_ratio > 0.5) {

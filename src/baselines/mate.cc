@@ -50,15 +50,12 @@ bool AlignTuple(const std::vector<std::string>& row_cells,
 core::TableList Mate::TopK(const std::vector<std::vector<std::string>>& tuples, int k,
                            Stats* stats) const {
   Stats local;
-  if (tuples.empty() || tuples[0].empty()) {
-    if (stats != nullptr) *stats = local;
-    return {};
-  }
-
-  // Normalize tuples; MATE probes the index with ONE key column: pick the one
-  // with the smallest total posting volume (its frequency-aware choice).
+  // Normalize tuples, keeping those with the first kept tuple's arity; MATE
+  // probes the index with ONE key column: pick the one with the smallest
+  // total posting volume (its frequency-aware choice).
   std::vector<std::vector<std::string>> norm;
   for (const auto& t : tuples) {
+    if (t.empty() || (!norm.empty() && t.size() != norm[0].size())) continue;
     std::vector<std::string> n;
     bool ok = true;
     for (const auto& v : t) {

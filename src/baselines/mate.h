@@ -27,7 +27,9 @@ class Mate {
     size_t false_positives = 0;
   };
 
-  /// Top-k joinable tables on the composite key; `tuples` row-major.
+  /// Top-k joinable tables on the composite key; `tuples` row-major. Tuples
+  /// with an empty cell are dropped; so is every tuple whose arity differs
+  /// from the first kept tuple's.
   core::TableList TopK(const std::vector<std::vector<std::string>>& tuples, int k,
                        Stats* stats = nullptr) const;
 

@@ -269,6 +269,8 @@ enum class TraceStage : uint8_t {
   kJoinBuild,
   kJoinProbe,
   kKeySeek,
+  // No executor operator records the two gallop stages since the MC join
+  // runs on the generic pipeline; trace readers (perfbench) still name them.
   kGallopIntersect,
   kGallopEmit,
   kFusedScan,

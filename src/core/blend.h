@@ -51,9 +51,9 @@ class Blend {
     /// shapes; switchable so ablations can compare against the generic
     /// pipeline.
     bool enable_fused_scan_agg = true;
-    /// Galloping compressed-domain intersection for the MC join shape
-    /// (sql::QueryOptions::enable_galloping_join); switchable so ablations
-    /// can compare against the materialized hash join.
+    /// Planner override for the key-seek join step
+    /// (sql::QueryOptions::enable_galloping_join); `false` forces the
+    /// materialized hash join so ablations can compare the two.
     bool enable_galloping_join = true;
     /// Postings codec SaveSnapshot writes (index/codec.h): kCompressed
     /// shrinks the artifact's dominant section via block containers at the

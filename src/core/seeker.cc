@@ -186,6 +186,7 @@ MCSeeker::MCSeeker(std::vector<std::vector<std::string>> tuples, int k) : Seeker
     if (ok && !n.empty()) tuples_.push_back(std::move(n));
   }
   num_columns_ = tuples_.empty() ? 0 : tuples_[0].size();
+  for (const auto& t : tuples_) mixed_arity_ |= t.size() != num_columns_;
   col_values_.resize(num_columns_);
   std::vector<std::unordered_set<std::string>> seen(num_columns_);
   for (const auto& t : tuples_) {
@@ -246,6 +247,12 @@ Result<TableList> MCSeeker::Execute(const DiscoveryContext& ctx,
   if (tuples_.empty()) return TableList{};
   if (num_columns_ < 2) {
     return Status::InvalidArgument("MC seeker requires at least two key columns");
+  }
+  // A shorter or longer tuple would be joined and validated on a truncated
+  // key, reporting tables that hold no full query tuple.
+  if (mixed_arity_) {
+    return Status::InvalidArgument(
+        "MC seeker tuples must all have the same number of columns");
   }
   if (num_columns_ > static_cast<size_t>(sql::kMaxRels)) {
     return Status::InvalidArgument("MC seeker supports at most " +

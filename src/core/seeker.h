@@ -111,7 +111,9 @@ struct MCExecutionStats {
 /// SQL self-join, the super-key Bloom filter, and exact validation.
 class MCSeeker : public Seeker {
  public:
-  /// `tuples` is row-major: tuples[i] is the i-th composite key of Q.
+  /// `tuples` is row-major: tuples[i] is the i-th composite key of Q. Every
+  /// tuple must have the same arity; Execute rejects mixed arities with
+  /// InvalidArgument. Tuples with an empty cell are dropped first.
   MCSeeker(std::vector<std::vector<std::string>> tuples, int k);
 
   Type type() const override { return Type::kMC; }
@@ -128,6 +130,7 @@ class MCSeeker : public Seeker {
   std::vector<std::vector<std::string>> tuples_;      // normalized
   std::vector<std::vector<std::string>> col_values_;  // distinct values per column
   size_t num_columns_ = 0;
+  bool mixed_arity_ = false;  // some tuple's arity differs from the first's
   mutable MCExecutionStats last_stats_;
 };
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -139,6 +140,9 @@ class RowStore {
     return secondary_.quadrant_positions.span();
   }
   size_t NumTables() const { return secondary_.NumTables(); }
+  /// Mean records per (TableId, RowId) group, rounded up (see
+  /// MeanRecordsPerRow); computed once when the store is built or loaded.
+  uint32_t RecordsPerRow() const { return records_per_row_; }
   const SecondaryIndexes& secondary() const { return secondary_; }
   /// Transcodes the postings to the compressed codec in place (serve
   /// compressed). Build-time only: stores are immutable once served.
@@ -153,6 +157,7 @@ class RowStore {
 
   PodArray<IndexRecord> records_;
   SecondaryIndexes secondary_;
+  uint32_t records_per_row_ = 1;
 };
 
 /// SoA physical layout: column store. A scan that needs only TableId and
@@ -182,6 +187,9 @@ class ColumnStore {
     return secondary_.quadrant_positions.span();
   }
   size_t NumTables() const { return secondary_.NumTables(); }
+  /// Mean records per (TableId, RowId) group, rounded up (see
+  /// MeanRecordsPerRow); computed once when the store is built or loaded.
+  uint32_t RecordsPerRow() const { return records_per_row_; }
   const SecondaryIndexes& secondary() const { return secondary_; }
   /// Transcodes the postings to the compressed codec in place (serve
   /// compressed). Build-time only: stores are immutable once served.
@@ -203,6 +211,24 @@ class ColumnStore {
   PodArray<uint64_t> super_keys_;
   PodArray<int8_t> quadrants_;
   SecondaryIndexes secondary_;
+  uint32_t records_per_row_ = 1;
 };
+
+/// Mean records per (TableId, RowId) group, rounded up: the records a key
+/// seek reads per distinct key. A table's groups are counted as the span of
+/// its RowIds (records ascend by row within the table's range), so this is
+/// one pass over the table ranges, never over the records.
+template <typename Store>
+uint32_t MeanRecordsPerRow(const Store& store) {
+  uint64_t rows = 0;
+  for (size_t t = 0; t < store.NumTables(); ++t) {
+    const auto [b, e] = store.TableRange(static_cast<TableId>(t));
+    if (b >= e) continue;
+    const int64_t span = int64_t{store.row(e - 1)} - store.row(b) + 1;
+    rows += static_cast<uint64_t>(std::max<int64_t>(1, span));
+  }
+  if (rows == 0) return 1;
+  return static_cast<uint32_t>((store.NumRecords() + rows - 1) / rows);
+}
 
 }  // namespace blend

@@ -27,6 +27,7 @@ void ColumnStore::Build(std::vector<IndexRecord> records, size_t num_cells,
   super_keys_.Own(std::move(super_keys));
   quadrants_.Own(std::move(quadrants));
   secondary_.Build(records, num_cells, num_tables);
+  records_per_row_ = MeanRecordsPerRow(*this);
 }
 
 }  // namespace blend

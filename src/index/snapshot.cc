@@ -1202,6 +1202,11 @@ Result<IndexBundle> SnapshotCodec::Load(std::shared_ptr<SnapshotStorage> storage
     FillArray(&secondary->table_ranges, ranges, zero_copy);
     FillArray(&secondary->quadrant_positions, quad, zero_copy);
   }
+  if (bundle.layout_ == StoreLayout::kRow) {
+    bundle.row_store_.records_per_row_ = MeanRecordsPerRow(bundle.row_store_);
+  } else {
+    bundle.column_store_.records_per_row_ = MeanRecordsPerRow(bundle.column_store_);
+  }
 
   // Row maps (shuffled builds): always materialized per table on the heap;
   // OriginalRow's per-table vectors are not a fixed-width array.

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -338,7 +337,7 @@ void AppendRangeMorsels(size_t begin, size_t end,
 /// ids. Ascending id order is the canonical scan order: it fixes the output
 /// position sequence independently of IN-list order and of hash-set iteration
 /// quirks, and the fused operator walks the same sequence. Every IN-list path
-/// (fused aggregate, fused projection, galloping join, ScanRel) resolves here,
+/// (fused aggregate, fused projection, generic-pipeline relations) resolves here,
 /// probing the dictionary once for the whole batch.
 std::vector<CellId> ResolveCellIds(const Expr& cell_in, const Dictionary& dict) {
   std::vector<std::string> normalized;
@@ -355,13 +354,16 @@ std::vector<CellId> ResolveCellIds(const Expr& cell_in, const Dictionary& dict) 
 
 /// Per-record filter of one relation's ScanSpec beyond its access path: the
 /// RowId bound, Quadrant IS NOT NULL, the residual predicates and, when
-/// `filter_tables`, TableId IN membership. Bound once; evaluation is
+/// `filter_tables`, TableId IN membership. When `cells` is given it also
+/// answers CellValue IN membership (CellAllowed) for a key seek, which reads
+/// whole record groups instead of postings. Bound once; evaluation is
 /// read-only and thread-safe.
 template <typename Store>
 class RecordFilter {
  public:
   static Result<RecordFilter> Make(const ScanSpec& spec, const Store& store,
-                                   const Dictionary& dict, bool filter_tables) {
+                                   const Dictionary& dict, bool filter_tables,
+                                   const std::vector<CellId>* cells = nullptr) {
     RecordFilter f(store);
     f.row_lt_ = spec.row_lt;
     f.need_quadrant_ = spec.need_quadrant;
@@ -370,6 +372,11 @@ class RecordFilter {
       for (int64_t t : spec.table_in->in_ints) {
         f.table_filter_.FindOrInsert(static_cast<uint64_t>(t), 0);
       }
+    }
+    if (cells != nullptr) {
+      f.use_cell_filter_ = true;
+      f.cell_filter_ = FlatKeyIndex(cells->size());
+      for (CellId id : *cells) f.cell_filter_.FindOrInsert(id, 0);
     }
     Binder binder(&dict, {AllFields("")});
     for (const Expr* c : spec.residual) {
@@ -383,6 +390,16 @@ class RecordFilter {
   bool TableAllowed(int64_t table) const {
     return !use_table_filter_ ||
            table_filter_.Find(static_cast<uint64_t>(table)) != FlatKeyIndex::kAbsent;
+  }
+
+  /// CellValue IN membership (true when the filter was made without cells).
+  bool CellAllowed(CellId cell) const {
+    return !use_cell_filter_ || cell_filter_.Find(cell) != FlatKeyIndex::kAbsent;
+  }
+
+  /// True when Passes checks nothing, so every record passes.
+  bool PassesAll() const {
+    return !use_table_filter_ && row_lt_ < 0 && !need_quadrant_ && preds_.empty();
   }
 
   bool Passes(RecordPos p) const {
@@ -406,6 +423,8 @@ class RecordFilter {
   bool need_quadrant_ = false;
   bool use_table_filter_ = false;
   FlatKeyIndex table_filter_;
+  bool use_cell_filter_ = false;
+  FlatKeyIndex cell_filter_;
   std::vector<BoundExprPtr> preds_;
 };
 
@@ -459,29 +478,79 @@ std::vector<ScanMorsel> CandidateMorsels(const PositionCandidates& cands) {
   return morsels;
 }
 
+/// One relation's access path, resolved once per statement and shared by the
+/// key-seek planner, the scan, the seek and describe mode: the ScanSpec, the
+/// CellValue IN-list's cells in canonical order (posting-backed) or the
+/// candidate positions (otherwise), and the records the path reads — the
+/// posting count, O(1) per cell from the CSR offsets, or the candidate count.
+struct RelAccess {
+  ScanSpec spec;
+  std::vector<CellId> cells;
+  PositionCandidates cands;
+  size_t records = 0;
+
+  bool posting_backed() const { return spec.cell_in != nullptr; }
+};
+
 template <typename Store>
-Result<std::vector<RecordPos>> ScanRel(const AnalyzedRel& rel, const Store& store,
+RelAccess ResolveAccess(const AnalyzedRel& rel, const Store& store,
+                        const Dictionary& dict) {
+  RelAccess a;
+  a.spec = ClassifyScan(rel.scan_pred);
+  if (a.posting_backed()) {
+    a.cells = ResolveCellIds(*a.spec.cell_in, dict);
+    for (CellId id : a.cells) a.records += store.PostingCount(id);
+  } else {
+    a.cands = CandidatesOf(a.spec, store);
+    a.records = a.cands.count;
+  }
+  return a;
+}
+
+/// Scan morsels of `a`'s access path, in scan order: each cell's posting
+/// list (cells ascending), or the candidates.
+template <typename Store>
+std::vector<ScanMorsel> AccessMorsels(const RelAccess& a, const Store& store) {
+  if (!a.posting_backed()) return CandidateMorsels(a.cands);
+  std::vector<ScanMorsel> morsels;
+  for (CellId id : a.cells) AppendListMorsels(store.PostingList(id), &morsels);
+  return morsels;
+}
+
+/// Calls fn(p) for every position of `mo`, in order. A list morsel
+/// batch-decodes its own containers into the cursor's reusable scratch; raw
+/// lists come back as one zero-copy batch.
+template <typename Fn>
+void ForEachPosition(const ScanMorsel& mo, const Fn& fn) {
+  if (!mo.from_list) {
+    for (size_t i = mo.begin; i < mo.end; ++i) fn(static_cast<RecordPos>(i));
+    return;
+  }
+  PostingCursor cur(mo.list);
+  cur.SeekToOrdinal(mo.begin);
+  for (auto batch = cur.NextBatch(); !batch.empty(); batch = cur.NextBatch()) {
+    const size_t ord = cur.batch_ordinal();
+    if (ord >= mo.end) break;
+    const size_t lo = mo.begin > ord ? mo.begin - ord : 0;
+    const size_t hi = std::min(batch.size(), mo.end - ord);
+    for (size_t i = lo; i < hi; ++i) fn(batch[i]);
+  }
+}
+
+/// Scans one relation through its access path: the in-database hash index on
+/// CellValue, the clustered index on TableId, the partial index on Quadrant
+/// (the correlation seeker's numeric-cell scan), or a full scan. A TableId
+/// IN-list that is not the access path acts as a filter.
+template <typename Store>
+Result<std::vector<RecordPos>> ScanRel(const RelAccess& a, const Store& store,
                                        const Dictionary& dict, Scheduler* sched,
                                        const QueryControl* control,
                                        QueryTrace* trace) {
-  const ScanSpec spec = ClassifyScan(rel.scan_pred);
-  // When the TableId IN-list is not the access path it acts as a filter.
   BLEND_ASSIGN_OR_RETURN(
       const auto filter,
-      RecordFilter<Store>::Make(spec, store, dict,
-                                /*filter_tables=*/spec.cell_in != nullptr));
-
-  std::vector<ScanMorsel> morsels;
-  if (spec.cell_in != nullptr) {
-    // Access path 1: the in-database hash index on CellValue.
-    for (CellId id : ResolveCellIds(*spec.cell_in, dict)) {
-      AppendListMorsels(store.PostingList(id), &morsels);
-    }
-  } else {
-    // Access paths 2-4: the clustered index on TableId, the partial index on
-    // Quadrant (correlation seeker's numeric-cell scan), or a full scan.
-    morsels = CandidateMorsels(CandidatesOf(spec, store));
-  }
+      RecordFilter<Store>::Make(a.spec, store, dict,
+                                /*filter_tables=*/a.posting_backed()));
+  const std::vector<ScanMorsel> morsels = AccessMorsels(a, store);
 
   // Filter each morsel into its own buffer, then concatenate in morsel order:
   // the output position sequence is identical to a serial scan no matter
@@ -489,36 +558,14 @@ Result<std::vector<RecordPos>> ScanRel(const AnalyzedRel& rel, const Store& stor
   // tiny (one per short list), so the fan-out decision keys on the total
   // record count rather than the morsel count — small scans stay inline
   // instead of paying the pool's enqueue/wakeup cost.
-  size_t total_records = 0;
-  for (const ScanMorsel& mo : morsels) total_records += mo.end - mo.begin;
-  Scheduler* scan_sched = total_records > kScanMorselRecords ? sched : nullptr;
+  Scheduler* scan_sched = a.records > kScanMorselRecords ? sched : nullptr;
   std::vector<std::vector<RecordPos>> parts(morsels.size());
   BLEND_RETURN_NOT_OK(RunTasks(scan_sched, control, trace, TraceStage::kScan,
                                morsels.size(), [&](size_t m) {
-    const ScanMorsel& mo = morsels[m];
     std::vector<RecordPos>& out = parts[m];
-    if (mo.from_list) {
-      // Batch-decode the morsel's own containers into the cursor's reusable
-      // scratch; raw lists come back as one zero-copy batch.
-      PostingCursor cur(mo.list);
-      cur.SeekToOrdinal(mo.begin);
-      for (auto batch = cur.NextBatch(); !batch.empty();
-           batch = cur.NextBatch()) {
-        const size_t ord = cur.batch_ordinal();
-        if (ord >= mo.end) break;
-        const size_t lo = mo.begin > ord ? mo.begin - ord : 0;
-        const size_t hi = std::min(batch.size(), mo.end - ord);
-        for (size_t i = lo; i < hi; ++i) {
-          const RecordPos p = batch[i];
-          if (filter.Passes(p)) out.push_back(p);
-        }
-      }
-    } else {
-      for (size_t i = mo.begin; i < mo.end; ++i) {
-        RecordPos p = static_cast<RecordPos>(i);
-        if (filter.Passes(p)) out.push_back(p);
-      }
-    }
+    ForEachPosition(morsels[m], [&](RecordPos p) {
+      if (filter.Passes(p)) out.push_back(p);
+    });
   }));
 
   std::vector<RecordPos> out = ConcatParts(std::move(parts));
@@ -726,29 +773,13 @@ Result<std::vector<RowCtx>> HashJoinStep(const Store& store,
 }
 
 // ---------------------------------------------------------------------------
-// Galloping compressed-domain join for the MC shape:
-//   SELECT T0.TableId, T0.RowId, T0.SuperKey
-//   FROM (... CellValue IN ...) T0 JOIN (... CellValue IN ...) T1
-//     ON T0.TableId = T1.TableId AND T0.RowId = T1.RowId [JOIN ...]
-// Instead of materializing every relation's postings and hash-joining,
-// per-relation posting cursors leapfrog in (TableId, RowId) key space via
-// skip-table SeekAtLeast — blocks that cannot contain a matching key are
-// never decoded, and the compressed form is consumed directly.
-//
-// Byte-identity with HashJoinStep is by construction: the eligible shape's
-// projection reads only relation-0 fields that are constant within a
-// (TableId, RowId) key group (TableId, RowId, SuperKey), so the legacy
-// output stream is fully characterized by an ordered list of (key,
-// multiplicity) runs. The replay below reproduces HashJoinStep's exact
-// emission order per step — including its build-on-the-smaller-side
-// orientation rule `scan.size() <= rows.size()` evaluated on the same
-// (unfiltered) sizes, which are O(1) posting-count sums for this shape —
-// then materializes each run's rows from one representative record.
+// (TableId, RowId) join keys. Records are emitted table-major, row-major, so
+// a key's records form one contiguous group and keys ascend with physical
+// position: the key-seek join step finds a key's group by binary search.
 // ---------------------------------------------------------------------------
 
-/// (TableId, RowId) packed as one 64-bit key. Records are emitted
-/// table-major, row-major, so the key is non-decreasing in physical
-/// position and cursors can gallop in key space by seeking positions.
+/// (TableId, RowId) packed as one 64-bit key, non-decreasing in physical
+/// position.
 inline uint64_t PackJoinKey(TableId t, int32_t r) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(t)) << 32) |
          static_cast<uint32_t>(r);
@@ -796,519 +827,14 @@ RecordPos JoinKeyGroupEnd(const Store& store, uint64_t key, RecordPos from) {
   return lo;
 }
 
-/// True when every field leaf reads a relation-0 column that is constant
-/// within a (TableId, RowId) key group — the condition that lets the gallop
-/// project one representative record per key.
-bool KeyConstantExpr(const BoundExpr& e) {
-  if (e.kind == BKind::kField) {
-    return e.side == 0 && (e.field == Field::kTable ||
-                           e.field == Field::kRow ||
-                           e.field == Field::kSuperKey);
-  }
-  if (e.kind == BKind::kAggRef || e.kind == BKind::kKeyRef) return false;
-  if (e.lhs != nullptr && !KeyConstantExpr(*e.lhs)) return false;
-  if (e.rhs != nullptr && !KeyConstantExpr(*e.rhs)) return false;
-  return true;
-}
-
-/// One run of the replayed join stream: `mult` consecutive output rows, all
-/// for join key `key`.
-struct JoinRun {
-  uint64_t key;
-  uint64_t mult;
-};
-
-/// Per-cell multiplicity of one matched key (runs are appended per cell in
-/// ascending key order — a cell's postings visit keys in ascending order).
-struct CellKeyMult {
-  uint64_t key;
-  uint64_t mult;
-};
-
-/// Records per leapfrog partition task of the first join step. A multiple of
-/// the scan morsel size; boundaries translate to key ranges, so the task
-/// decomposition is a pure function of the store (never the pool).
-constexpr size_t kGallopChunkRecords = 4 * kScanMorselRecords;
-/// Keys per partition task of the later join steps.
-constexpr size_t kGallopKeysPerTask = 8192;
-
-/// Attempts the galloping join. Returns nullopt when the query does not
-/// have the eligible shape (the generic pipeline then runs, and reports any
-/// real bind error itself). An engaged return is the query's outcome.
-template <typename Store>
-std::optional<Result<QueryResult>> TryGallopingJoin(const AnalyzedQuery& q,
-                                                    const SelectStmt& stmt,
-                                                    const Store& store,
-                                                    const Dictionary& dict,
-                                                    const QueryOptions& options,
-                                                    PlanDescription* describe) {
-  Scheduler* sched = options.scheduler;
-  const QueryControl* control = options.control;
-  QueryTrace* trace = options.trace;
-  const size_t nrels = q.rels.size();
-  if (nrels < 2 || q.join_ons.size() != nrels - 1) return std::nullopt;
-  if (q.residual_where != nullptr || stmt.select_star) return std::nullopt;
-  if (!stmt.group_by.empty() || !stmt.order_by.empty()) return std::nullopt;
-  if (options.dedup_column >= 0) return std::nullopt;
-  for (const auto& item : stmt.items) {
-    if (Binder::ContainsAggregate(*item.expr)) return std::nullopt;
-  }
-
-  // Every relation must be a pure CellValue IN probe with no filters: that
-  // is what makes per-key match counts derivable from posting lists alone
-  // and keeps the (unfiltered) orientation sizes O(1) posting-count sums.
-  std::vector<const Expr*> cell_ins;
-  for (const auto& rel : q.rels) {
-    const ScanSpec spec = ClassifyScan(rel.scan_pred);
-    if (spec.cell_in == nullptr || spec.table_in != nullptr ||
-        spec.need_quadrant || spec.row_lt >= 0 || !spec.residual.empty()) {
-      return std::nullopt;
-    }
-    cell_ins.push_back(spec.cell_in);
-  }
-
-  std::vector<Binder::RelColumns> rel_cols;
-  for (const auto& rel : q.rels) rel_cols.push_back(rel.visible);
-  Binder binder(&dict, rel_cols);
-
-  // Every join step must equate exactly (TableId, RowId) of the new relation
-  // with (TableId, RowId) of relation 0, with no residual ON terms.
-  for (size_t j = 0; j < q.join_ons.size(); ++j) {
-    const auto step_side = static_cast<uint8_t>(j + 1);
-    auto keys_or = ExtractStepKeys(q.join_ons[j], binder, step_side);
-    if (!keys_or.ok()) return std::nullopt;
-    const StepKeys keys = keys_or.take();
-    if (!keys.residual.empty() || keys.left.size() != 2) return std::nullopt;
-    bool table_key = false, row_key = false;
-    for (size_t i = 0; i < 2; ++i) {
-      const auto [lside, lfield] = keys.left[i];
-      if (lside != 0 || lfield != keys.right[i]) return std::nullopt;
-      if (lfield == Field::kTable) {
-        table_key = true;
-      } else if (lfield == Field::kRow) {
-        row_key = true;
-      } else {
-        return std::nullopt;
-      }
-    }
-    if (!table_key || !row_key) return std::nullopt;
-  }
-
-  // Projection: every field leaf must be key-constant on relation 0, so one
-  // representative record per key yields the whole group's output row.
-  QueryResult result;
-  std::vector<BoundExprPtr> items;
-  for (const auto& item : stmt.items) {
-    auto b = binder.BindRowExpr(*item.expr);
-    if (!b.ok()) return std::nullopt;
-    BoundExprPtr bp = b.take();
-    if (!KeyConstantExpr(*bp)) return std::nullopt;
-    result.columns.push_back(ItemName(item));
-    items.push_back(std::move(bp));
-  }
-
-  // Resolved cells (canonical ascending order — the probe scan order) and
-  // the unfiltered scan sizes that drive each step's build/probe
-  // orientation, straight from the CSR offsets.
-  std::vector<std::vector<CellId>> cells(nrels);
-  std::vector<uint64_t> sz(nrels, 0);
-  for (size_t r = 0; r < nrels; ++r) {
-    cells[r] = ResolveCellIds(*cell_ins[r], dict);
-    for (CellId id : cells[r]) sz[r] += store.PostingCount(id);
-    // In describe mode keep going so the plan shows every relation's
-    // cardinality even when one side is empty.
-    if (sz[r] == 0 && describe == nullptr) {
-      return Result<QueryResult>(std::move(result));
-    }
-  }
-
-  // Describe mode: the gate has passed and the step-1 partition geometry is
-  // a pure function of the store, so report the plan and bail — no
-  // leapfrogging, no memory charges.
-  if (describe != nullptr) {
-    const size_t recs = store.NumRecords();
-    describe->pipeline = "galloping-join";
-    PlanNode root;
-    root.op = "GallopingJoin";
-    root.detail = std::to_string(nrels) + " relations on (TableId, RowId); " +
-                  std::to_string(kGallopChunkRecords) +
-                  "-record step-1 chunks, " +
-                  std::to_string(kGallopKeysPerTask) + " keys/task after";
-    root.stage = TraceStage::kGallopIntersect;
-    root.planned_tasks = static_cast<int64_t>(std::max<size_t>(
-        1, (recs + kGallopChunkRecords - 1) / kGallopChunkRecords));
-    describe->nodes.push_back(std::move(root));
-    for (size_t r = 0; r < nrels; ++r) {
-      PlanNode probe;
-      probe.depth = 1;
-      probe.op = "PostingProbe";
-      probe.detail = "rel " + std::to_string(r) + ": " +
-                     std::to_string(cells[r].size()) + " cells";
-      probe.est_rows = static_cast<int64_t>(sz[r]);
-      describe->nodes.push_back(std::move(probe));
-    }
-    PlanNode emit;
-    emit.depth = 1;
-    emit.op = "GallopEmit";
-    emit.detail = std::to_string(kAggChunkRows) + "-row chunks" +
-                  (stmt.limit >= 0 ? "; limit " + std::to_string(stmt.limit)
-                                   : std::string());
-    emit.stage = TraceStage::kGallopEmit;
-    describe->nodes.push_back(std::move(emit));
-    return Result<QueryResult>(std::move(result));
-  }
-  if (stmt.limit == 0) return Result<QueryResult>(std::move(result));
-
-  ScopedMemoryCharge mem(control);
-
-  // --- Step 1: two-sided leapfrog of relation 0 × relation 1, partitioned
-  // into fixed global-position chunks. Each task owns the keys in
-  // [key(chunk start), key(next chunk start)): a key group straddling a
-  // boundary is processed entirely by the task owning its key (its own
-  // iterators seek from the group's first position), so every key is
-  // counted exactly once and task outputs concatenate in ascending key
-  // order.
-  struct Step1Agg {
-    uint64_t key;
-    uint64_t cnt0, cnt1;
-    RecordPos rep0;  // a relation-0 position of the group (for projection)
-  };
-  struct Step1Out {
-    std::vector<std::vector<CellKeyMult>> runs0, runs1;
-    std::vector<Step1Agg> agg;
-  };
-  const size_t num_records = store.NumRecords();
-  const size_t num_tasks = std::max<size_t>(
-      1, (num_records + kGallopChunkRecords - 1) / kGallopChunkRecords);
-  std::vector<Step1Out> task_out(num_tasks);
-  Status st = RunTasks(sched, control, trace, TraceStage::kGallopIntersect,
-                       num_tasks, [&](size_t t) {
-    Step1Out& out = task_out[t];
-    out.runs0.resize(cells[0].size());
-    out.runs1.resize(cells[1].size());
-    const uint64_t begin_key =
-        JoinKeyOf(store, static_cast<RecordPos>(t * kGallopChunkRecords));
-    const bool bounded = (t + 1) * kGallopChunkRecords < num_records;
-    const uint64_t end_key =
-        bounded ? JoinKeyOf(store, static_cast<RecordPos>(
-                                       (t + 1) * kGallopChunkRecords))
-                : 0;
-    std::vector<PostingIterator> its0, its1;
-    its0.reserve(cells[0].size());
-    its1.reserve(cells[1].size());
-    for (CellId id : cells[0]) its0.emplace_back(store.PostingList(id));
-    for (CellId id : cells[1]) its1.emplace_back(store.PostingList(id));
-    const RecordPos start_pos = JoinKeyLowerBound(store, begin_key);
-    for (auto& it : its0) it.SeekAtLeast(start_pos);
-    for (auto& it : its1) it.SeekAtLeast(start_pos);
-    auto min_pos = [](std::vector<PostingIterator>& its, RecordPos* out_pos) {
-      bool alive = false;
-      for (auto& it : its) {
-        if (it.AtEnd()) continue;
-        if (!alive || it.Value() < *out_pos) *out_pos = it.Value();
-        alive = true;
-      }
-      return alive;
-    };
-    while (true) {
-      RecordPos p0 = 0, p1 = 0;
-      if (!min_pos(its0, &p0) || !min_pos(its1, &p1)) break;
-      const uint64_t k0 = JoinKeyOf(store, p0);
-      const uint64_t k1 = JoinKeyOf(store, p1);
-      const uint64_t key = std::max(k0, k1);
-      if (bounded && key >= end_key) break;
-      if (k0 != k1) {
-        // Gallop the lagging side to the leading side's key.
-        const RecordPos target = JoinKeyLowerBound(store, key);
-        for (auto& it : (k0 < k1 ? its0 : its1)) it.SeekAtLeast(target);
-        continue;
-      }
-      // Matched key group: count each cell's records in [group, group end).
-      const RecordPos gend = JoinKeyGroupEnd(store, key, std::min(p0, p1));
-      uint64_t c0 = 0, c1 = 0;
-      for (size_t i = 0; i < its0.size(); ++i) {
-        if (its0[i].AtEnd() || its0[i].Value() >= gend) continue;
-        const uint64_t m = its0[i].AdvanceBelow(gend);
-        out.runs0[i].push_back({key, m});
-        c0 += m;
-      }
-      for (size_t i = 0; i < its1.size(); ++i) {
-        if (its1[i].AtEnd() || its1[i].Value() >= gend) continue;
-        const uint64_t m = its1[i].AdvanceBelow(gend);
-        out.runs1[i].push_back({key, m});
-        c1 += m;
-      }
-      out.agg.push_back({key, c0, c1, p0});
-    }
-  });
-  if (!st.ok()) return Result<QueryResult>(std::move(st));
-
-  // Concatenate task outputs; tasks cover ascending disjoint key ranges.
-  std::vector<Step1Agg> agg;
-  std::vector<std::vector<CellKeyMult>> runs0(cells[0].size());
-  std::vector<std::vector<CellKeyMult>> runs1(cells[1].size());
-  {
-    size_t nagg = 0;
-    for (const auto& to : task_out) nagg += to.agg.size();
-    agg.reserve(nagg);
-    for (auto& to : task_out) {
-      agg.insert(agg.end(), to.agg.begin(), to.agg.end());
-      for (size_t c = 0; c < runs0.size(); ++c) {
-        runs0[c].insert(runs0[c].end(), to.runs0[c].begin(), to.runs0[c].end());
-      }
-      for (size_t c = 0; c < runs1.size(); ++c) {
-        runs1[c].insert(runs1[c].end(), to.runs1[c].begin(), to.runs1[c].end());
-      }
-    }
-    std::vector<Step1Out>().swap(task_out);
-  }
-  if (agg.empty()) return Result<QueryResult>(std::move(result));
-  BLEND_RETURN_NOT_OK(
-      mem.ChargeTo(static_cast<int64_t>(agg.size() * sizeof(Step1Agg) * 2)));
-
-  // Multiplication/addition that saturate instead of wrapping: a blown-up
-  // cross product must trip the memory budget (or the allocation), never
-  // silently truncate counts.
-  bool saturated = false;
-  auto sat_mul = [&saturated](uint64_t a, uint64_t b) -> uint64_t {
-    if (a != 0 && b > std::numeric_limits<uint64_t>::max() / a) {
-      saturated = true;
-      return std::numeric_limits<uint64_t>::max();
-    }
-    return a * b;
-  };
-  auto sat_add = [&saturated](uint64_t a, uint64_t b) -> uint64_t {
-    if (b > std::numeric_limits<uint64_t>::max() - a) {
-      saturated = true;
-      return std::numeric_limits<uint64_t>::max();
-    }
-    return a + b;
-  };
-
-  // Current intersection keys (ascending) with per-key data.
-  std::vector<uint64_t> inter_keys(agg.size());
-  std::vector<RecordPos> inter_rep(agg.size());
-  for (size_t i = 0; i < agg.size(); ++i) {
-    inter_keys[i] = agg[i].key;
-    inter_rep[i] = agg[i].rep0;
-  }
-  auto key_index = [&](uint64_t key) {
-    return static_cast<size_t>(
-        std::lower_bound(inter_keys.begin(), inter_keys.end(), key) -
-        inter_keys.begin());
-  };
-
-  // Replay HashJoinStep 1's emission order as runs. Orientation mirrors the
-  // legacy rule on the same sizes: rows (prefix) = sz[0], scan = sz[1].
-  std::vector<JoinRun> srun;
-  if (sz[1] <= sz[0]) {
-    // Build on relation 1, probe with the prefix: output follows the prefix
-    // stream (relation-0 cells ascending, keys ascending within each cell),
-    // each prefix row fanning out to its cnt1 matches.
-    for (const auto& cell_runs : runs0) {
-      for (const CellKeyMult& km : cell_runs) {
-        srun.push_back({km.key, sat_mul(km.mult, agg[key_index(km.key)].cnt1)});
-      }
-    }
-  } else {
-    // Build on the prefix, probe with relation 1's scan: output follows
-    // relation 1's scan order, each probe record fanning out to the whole
-    // prefix group.
-    for (const auto& cell_runs : runs1) {
-      for (const CellKeyMult& km : cell_runs) {
-        srun.push_back({km.key, sat_mul(km.mult, agg[key_index(km.key)].cnt0)});
-      }
-    }
-  }
-  uint64_t prefix_size = 0;
-  for (const JoinRun& r : srun) prefix_size = sat_add(prefix_size, r.mult);
-
-  // --- Steps 2..n-1: leapfrog the surviving sorted key set against each
-  // further relation's cursors, partitioned into fixed key chunks.
-  for (size_t j = 2; j < nrels; ++j) {
-    // Aggregate multiplicity per surviving key in the current stream.
-    std::vector<uint64_t> inter_mult(inter_keys.size(), 0);
-    for (const JoinRun& r : srun) {
-      inter_mult[key_index(r.key)] = sat_add(inter_mult[key_index(r.key)], r.mult);
-    }
-
-    struct StepMatch {
-      uint64_t key;
-      uint64_t cnt;
-    };
-    struct StepOut {
-      std::vector<std::vector<CellKeyMult>> runs;
-      std::vector<StepMatch> matches;
-    };
-    const size_t nkeys = inter_keys.size();
-    const size_t key_tasks = (nkeys + kGallopKeysPerTask - 1) / kGallopKeysPerTask;
-    std::vector<StepOut> step_out(key_tasks);
-    st = RunTasks(sched, control, trace, TraceStage::kGallopIntersect, key_tasks,
-                  [&](size_t t) {
-      StepOut& out = step_out[t];
-      out.runs.resize(cells[j].size());
-      size_t ki = t * kGallopKeysPerTask;
-      const size_t kend = std::min(nkeys, ki + kGallopKeysPerTask);
-      std::vector<PostingIterator> its;
-      its.reserve(cells[j].size());
-      for (CellId id : cells[j]) its.emplace_back(store.PostingList(id));
-      {
-        const RecordPos target = JoinKeyLowerBound(store, inter_keys[ki]);
-        for (auto& it : its) it.SeekAtLeast(target);
-      }
-      while (ki < kend) {
-        bool alive = false;
-        RecordPos minp = 0;
-        for (auto& it : its) {
-          if (it.AtEnd()) continue;
-          if (!alive || it.Value() < minp) minp = it.Value();
-          alive = true;
-        }
-        if (!alive) break;
-        const uint64_t krel = JoinKeyOf(store, minp);
-        const uint64_t key = inter_keys[ki];
-        if (krel < key) {
-          const RecordPos target = JoinKeyLowerBound(store, key);
-          for (auto& it : its) it.SeekAtLeast(target);
-          continue;
-        }
-        if (krel > key) {
-          // Gallop the key list to the relation's current key.
-          ki = static_cast<size_t>(
-              std::lower_bound(inter_keys.begin() + static_cast<long>(ki + 1),
-                               inter_keys.begin() + static_cast<long>(kend),
-                               krel) -
-              inter_keys.begin());
-          continue;
-        }
-        const RecordPos gend = JoinKeyGroupEnd(store, key, minp);
-        uint64_t cnt = 0;
-        for (size_t i = 0; i < its.size(); ++i) {
-          if (its[i].AtEnd() || its[i].Value() >= gend) continue;
-          const uint64_t m = its[i].AdvanceBelow(gend);
-          out.runs[i].push_back({key, m});
-          cnt += m;
-        }
-        out.matches.push_back({key, cnt});
-        ++ki;
-      }
-    });
-    if (!st.ok()) return Result<QueryResult>(std::move(st));
-
-    std::vector<std::vector<CellKeyMult>> runs_j(cells[j].size());
-    std::vector<uint64_t> new_keys;
-    std::vector<uint64_t> new_cnt;
-    for (auto& so : step_out) {
-      for (const StepMatch& m : so.matches) {
-        new_keys.push_back(m.key);
-        new_cnt.push_back(m.cnt);
-      }
-      for (size_t c = 0; c < runs_j.size(); ++c) {
-        runs_j[c].insert(runs_j[c].end(), so.runs[c].begin(), so.runs[c].end());
-      }
-    }
-    std::vector<StepOut>().swap(step_out);
-    if (new_keys.empty()) return Result<QueryResult>(std::move(result));
-    auto new_index = [&](uint64_t key) {
-      return static_cast<size_t>(
-          std::lower_bound(new_keys.begin(), new_keys.end(), key) -
-          new_keys.begin());
-    };
-
-    // Replay step j's orientation: rows = prefix_size, scan = sz[j].
-    std::vector<JoinRun> next;
-    if (sz[j] <= prefix_size) {
-      // Probe with the prefix stream: keys killed this step emit nothing.
-      for (const JoinRun& r : srun) {
-        const size_t ni = new_index(r.key);
-        if (ni >= new_keys.size() || new_keys[ni] != r.key) continue;
-        next.push_back({r.key, sat_mul(r.mult, new_cnt[ni])});
-      }
-    } else {
-      // Probe with relation j's scan: its per-cell runs fan out to the whole
-      // prefix group of their key.
-      for (const auto& cell_runs : runs_j) {
-        for (const CellKeyMult& km : cell_runs) {
-          next.push_back(
-              {km.key, sat_mul(km.mult, inter_mult[key_index(km.key)])});
-        }
-      }
-    }
-    srun = std::move(next);
-    prefix_size = 0;
-    for (const JoinRun& r : srun) prefix_size = sat_add(prefix_size, r.mult);
-
-    // Shrink the intersection to the surviving keys.
-    std::vector<RecordPos> new_rep(new_keys.size());
-    for (size_t i = 0; i < new_keys.size(); ++i) {
-      new_rep[i] = inter_rep[key_index(new_keys[i])];
-    }
-    inter_keys = std::move(new_keys);
-    inter_rep = std::move(new_rep);
-  }
-
-  if (saturated) {
-    return Result<QueryResult>(Status::ResourceExhausted(
-        "galloping join result exceeds the representable row count"));
-  }
-
-  // --- Emission: cap at LIMIT, then materialize each run's rows from one
-  // representative relation-0 record (the projected fields are constant per
-  // key), chunk-parallel over output rows.
-  uint64_t total = prefix_size;
-  if (stmt.limit >= 0) total = std::min(total, static_cast<uint64_t>(stmt.limit));
-  BLEND_RETURN_NOT_OK(mem.ChargeTo(static_cast<int64_t>(
-      sat_mul(total, (items.size() + 2) * sizeof(SqlValue)))));
-  if (saturated) {
-    return Result<QueryResult>(Status::ResourceExhausted(
-        "galloping join result exceeds the representable row count"));
-  }
-  std::vector<uint64_t> offset;
-  offset.reserve(srun.size() + 1);
-  offset.push_back(0);
-  for (const JoinRun& r : srun) {
-    if (offset.back() >= total) break;
-    offset.push_back(std::min(total, offset.back() + r.mult));
-  }
-  result.rows.resize(static_cast<size_t>(total));
-  const size_t emit_chunks =
-      total == 0 ? 0 : static_cast<size_t>((total - 1) / kAggChunkRows + 1);
-  st = RunTasks(sched, control, trace, TraceStage::kGallopEmit, emit_chunks,
-                [&](size_t c) {
-    uint64_t row = c * kAggChunkRows;
-    const uint64_t rend = std::min<uint64_t>(total, row + kAggChunkRows);
-    size_t run = static_cast<size_t>(
-        std::upper_bound(offset.begin(), offset.end(), row) - offset.begin() - 1);
-    while (row < rend) {
-      RowCtx ctx;
-      ctx.pos[0] = inter_rep[key_index(srun[run].key)];
-      auto leaf = [&](const BoundExpr& b) {
-        return FieldValue(store, b.field, ctx.pos[b.side]);
-      };
-      std::vector<SqlValue> vals;
-      vals.reserve(items.size());
-      for (const auto& it : items) vals.push_back(EvalExpr(*it, leaf));
-      const uint64_t upto = std::min<uint64_t>(rend, offset[run + 1]);
-      for (; row < upto; ++row) result.rows[static_cast<size_t>(row)] = vals;
-      ++run;
-    }
-  });
-  if (!st.ok()) return Result<QueryResult>(std::move(st));
-  if (trace != nullptr) {
-    trace->AddRows(TraceStage::kGallopEmit,
-                   static_cast<int64_t>(result.rows.size()));
-  }
-  return Result<QueryResult>(std::move(result));
-}
-
 // ---------------------------------------------------------------------------
 // Output assembly (projection, aggregation, ordering).
 // ---------------------------------------------------------------------------
 
 /// Sorts rows (pairs of output values + sort key values), applies the
 /// engine-side dedup-top-k spec (QueryOptions::dedup_column / dedup_limit),
-/// then LIMIT. Shared by the generic, fused and galloping paths, so dedup
-/// semantics cannot diverge between them.
+/// then LIMIT. Shared by the generic pipeline and the fused projection, so
+/// dedup semantics cannot diverge between them.
 void SortAndLimit(std::vector<std::vector<SqlValue>>* rows,
                   std::vector<std::vector<SqlValue>>* sort_vals,
                   const std::vector<bool>& desc, int64_t limit,
@@ -2013,16 +1539,27 @@ std::optional<Result<QueryResult>> TryFusedScanProject(
 
 // ---------------------------------------------------------------------------
 // Key-seek join step. A join step whose ON equates the new relation's
-// (TableId, RowId) with one earlier relation's, where the new relation has
-// no CellValue access path (the correlation seeker's numeric-cell side),
-// skips the relation's up-front scan. It seeks each distinct prefix key's
-// contiguous record group instead (records are table-major, row-major) and
-// filters it with the relation's own ScanSpec. The records found are the
-// ascending subsequence of the full filtered scan whose keys can match: a
-// full-scan record outside it carries a key no prefix row has, so it never
-// passes HashJoinStep's key check. Fed to HashJoinStep under the legacy
-// build-side rule, decided on the full scan's size, the subsequence
-// reproduces the materialized join's emission order byte for byte.
+// (TableId, RowId) with one earlier relation's can skip the relation's
+// up-front scan: it seeks each distinct prefix key's contiguous record group
+// instead (records are table-major, row-major) and filters it with the
+// relation's own ScanSpec — for a posting-backed relation, also with
+// membership in its resolved CellValue IN cells. The records found are the
+// subsequence of the full filtered scan whose keys can match: a scanned
+// record outside it carries a key no prefix row has, so it never passes
+// HashJoinStep's key check. Returned in the scan's order (positions
+// ascending; for a posting-backed relation cells ascending, then positions)
+// and fed to HashJoinStep under the legacy build-side rule, decided on the
+// full scan's size, the subsequence reproduces the materialized join's
+// emission order byte for byte.
+//
+// Whether to seek is a plan-time rule over O(1) store and CSR sizes, so
+// EXPLAIN and execution decide alike. A relation without a CellValue access
+// path (the correlation seeker's numeric-cell side) is always sought. A
+// posting-backed relation is sought only when the seek reads fewer records
+// than its posting scan: records-per-row × the prefix's key bound < its
+// posting count. The key bound is the smallest record count among the
+// earlier relations the chain equates on (TableId, RowId) with the key side,
+// since every prefix row carries one key for all of them.
 // ---------------------------------------------------------------------------
 
 /// Distinct prefix keys per key-seek task. A constant, so the task
@@ -2032,8 +1569,7 @@ constexpr size_t kKeySeekChunkKeys = 1024;
 /// The earlier relation whose (TableId, RowId) the step's equality keys
 /// equate with the new relation's, or nullopt when the step cannot seek.
 /// Further equality keys and residual ON terms stay with HashJoinStep.
-std::optional<uint8_t> KeySeekSide(const StepKeys& keys, const ScanSpec& spec) {
-  if (spec.cell_in != nullptr) return std::nullopt;
+std::optional<uint8_t> KeySeekSide(const StepKeys& keys) {
   auto equates = [&](uint8_t side, Field f) {
     for (size_t i = 0; i < keys.left.size(); ++i) {
       if (keys.left[i].first == side && keys.left[i].second == f &&
@@ -2049,39 +1585,70 @@ std::optional<uint8_t> KeySeekSide(const StepKeys& keys, const ScanSpec& spec) {
   return std::nullopt;
 }
 
-/// Key-seek key side of join step `j` (relation j + 1), or nullopt when the
-/// step hash-joins a full scan of its relation. Rides the galloping-join
-/// planner override: `enable_galloping_join = false` forces the
-/// materialized join. A step whose keys do not bind is not seekable; the
-/// join loop then reports the bind error itself.
-std::optional<uint8_t> PlanKeySeek(const AnalyzedQuery& q, const Binder& binder,
-                                   size_t j, const QueryOptions& options) {
-  if (!options.enable_galloping_join) return std::nullopt;
-  const auto step_side = static_cast<uint8_t>(j + 1);
-  auto keys = ExtractStepKeys(q.join_ons[j], binder, step_side);
-  if (!keys.ok()) return std::nullopt;
-  return KeySeekSide(keys.take(), ClassifyScan(q.rels[step_side].scan_pred));
+/// Key-seek decision of one join step: the prefix side carrying the keys,
+/// the two record counts the rule compared, and whether it seeks.
+struct KeySeekPlan {
+  uint8_t key_side = 0;
+  uint64_t seek_records = 0;  // records-per-row × the prefix's key bound
+  uint64_t scan_records = 0;  // records of the relation's access path
+  bool chosen = false;
+};
+
+/// Entry r is engaged when relation r's join step equates (TableId, RowId)
+/// with an earlier relation; `chosen` is the rule's decision. Everything is
+/// disengaged under `enable_galloping_join = false`, the planner override
+/// that forces the materialized join. A step whose keys do not bind is not
+/// seekable; the join loop then reports the bind error itself.
+template <typename Store>
+std::vector<std::optional<KeySeekPlan>> PlanKeySeeks(
+    const AnalyzedQuery& q, const Binder& binder,
+    const std::vector<RelAccess>& access, const Store& store,
+    const QueryOptions& options) {
+  const size_t nrels = q.rels.size();
+  std::vector<std::optional<KeySeekPlan>> plans(nrels);
+  if (!options.enable_galloping_join) return plans;
+  // key_class[r]: the first relation of r's (TableId, RowId) equivalence
+  // class; class_bound[c]: the smallest record count in class c so far.
+  std::vector<size_t> key_class(nrels);
+  std::vector<uint64_t> class_bound(nrels);
+  for (size_t r = 0; r < nrels; ++r) {
+    key_class[r] = r;
+    class_bound[r] = access[r].records;
+  }
+  for (size_t j = 0; j < q.join_ons.size(); ++j) {
+    const auto side = static_cast<uint8_t>(j + 1);
+    auto keys = ExtractStepKeys(q.join_ons[j], binder, side);
+    const std::optional<uint8_t> key_side =
+        keys.ok() ? KeySeekSide(keys.take()) : std::nullopt;
+    if (!key_side.has_value()) continue;
+    const size_t c = key_class[*key_side];
+    KeySeekPlan p;
+    p.key_side = *key_side;
+    p.seek_records = uint64_t{store.RecordsPerRow()} * class_bound[c];
+    p.scan_records = access[side].records;
+    p.chosen = !access[side].posting_backed() || p.seek_records < p.scan_records;
+    plans[side] = p;
+    key_class[side] = c;
+    class_bound[c] = std::min<uint64_t>(class_bound[c], access[side].records);
+  }
+  return plans;
 }
 
-/// Whether more than `limit` records of `cands` pass `filter`. Counts in
-/// the scan's fixed morsels; a morsel starting after `limit` + 1 records have
-/// passed is skipped, which cannot change the answer.
+/// Whether more than `limit` records of `morsels` (`records` in all) pass
+/// `filter`. Counts in the scan's fixed morsels; a morsel starting after
+/// `limit` + 1 records have passed is skipped, which cannot change the answer.
 template <typename Store>
-Result<bool> MorePassThan(const PositionCandidates& cands,
+Result<bool> MorePassThan(const std::vector<ScanMorsel>& morsels, size_t records,
                           const RecordFilter<Store>& filter, size_t limit,
                           Scheduler* sched, const QueryControl* control,
                           QueryTrace* trace) {
-  const std::vector<ScanMorsel> morsels = CandidateMorsels(cands);
   std::atomic<size_t> passed{0};
-  BLEND_RETURN_NOT_OK(RunTasks(cands.count > kScanMorselRecords ? sched : nullptr,
+  BLEND_RETURN_NOT_OK(RunTasks(records > kScanMorselRecords ? sched : nullptr,
                                control, trace, TraceStage::kKeySeek,
                                morsels.size(), [&](size_t m) {
     if (passed.load(std::memory_order_relaxed) > limit) return;
-    const ScanMorsel& mo = morsels[m];
     size_t n = 0;
-    for (size_t i = mo.begin; i < mo.end; ++i) {
-      n += filter.Passes(cands.from_list ? cands.list[i] : static_cast<RecordPos>(i));
-    }
+    ForEachPosition(morsels[m], [&](RecordPos p) { n += filter.Passes(p); });
     passed.fetch_add(n, std::memory_order_relaxed);
   }));
   return passed.load() > limit;
@@ -2094,17 +1661,15 @@ struct StepInput {
   bool build_on_scan = false;
 };
 
-/// Seeks relation `rel`'s input to a join step whose prefix side `key_side`
-/// carries the (TableId, RowId) keys: each distinct key's record group,
-/// filtered by the relation's ScanSpec. Records read are at most the
-/// groups of the prefix's rows, never more than a full scan; keys outside a
+/// Seeks relation access `a`'s input to a join step whose prefix side
+/// `key_side` carries the (TableId, RowId) keys: each distinct key's record
+/// group, filtered by the relation's ScanSpec and cells. Keys outside a
 /// TableId IN-list are skipped without a search.
 template <typename Store>
-Result<StepInput> KeySeek(const AnalyzedRel& rel, uint8_t key_side,
+Result<StepInput> KeySeek(const RelAccess& a, uint8_t key_side,
                           const std::vector<RowCtx>& rows, const Store& store,
                           const Dictionary& dict, Scheduler* sched,
                           const QueryControl* control, QueryTrace* trace) {
-  const ScanSpec spec = ClassifyScan(rel.scan_pred);
   const char* label = TraceStageName(TraceStage::kKeySeek);
   if (trace != nullptr) trace->AddCounter(TraceCounter::kKeySeekSteps, 1);
 
@@ -2123,10 +1688,12 @@ Result<StepInput> KeySeek(const AnalyzedRel& rel, uint8_t key_side,
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   }
 
-  // The TableId IN-list, when present, was the access path; here it filters.
+  // The TableId IN-list, when present, was the access path of a relation
+  // without cells; here it filters.
   BLEND_ASSIGN_OR_RETURN(
       const auto filter,
-      RecordFilter<Store>::Make(spec, store, dict, /*filter_tables=*/true));
+      RecordFilter<Store>::Make(a.spec, store, dict, /*filter_tables=*/true,
+                                a.posting_backed() ? &a.cells : nullptr));
   const size_t num_tasks = (keys.size() + kKeySeekChunkKeys - 1) / kKeySeekChunkKeys;
   std::vector<std::vector<RecordPos>> parts(num_tasks);
   BLEND_RETURN_NOT_OK(RunTasks(num_tasks > 1 ? sched : nullptr, control, trace,
@@ -2138,94 +1705,115 @@ Result<StepInput> KeySeek(const AnalyzedRel& rel, uint8_t key_side,
       const RecordPos lo = JoinKeyLowerBound(store, keys[i]);
       const RecordPos hi = JoinKeyGroupEnd(store, keys[i], lo);
       for (RecordPos p = lo; p < hi; ++p) {
-        if (filter.Passes(p)) parts[t].push_back(p);
+        if (filter.CellAllowed(store.cell(p)) && filter.Passes(p)) {
+          parts[t].push_back(p);
+        }
       }
     }
   }));
   StepInput in;
   in.positions = ConcatParts(std::move(parts));
+  if (a.cells.size() > 1) {
+    // A posting scan walks cells ascending, then positions: one row's
+    // records under two query cells come back in cell order, not position
+    // order.
+    TraceSpan span(trace, TraceStage::kKeySeek);
+    std::vector<uint64_t> order(in.positions.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      order[i] = (uint64_t{store.cell(in.positions[i])} << 32) | in.positions[i];
+    }
+    std::sort(order.begin(), order.end());
+    for (size_t i = 0; i < order.size(); ++i) {
+      in.positions[i] = static_cast<RecordPos>(order[i]);
+    }
+  }
   if (trace != nullptr) {
     trace->AddRows(TraceStage::kKeySeek, static_cast<int64_t>(in.positions.size()));
   }
 
   // Legacy build-side rule on the full filtered scan's size F: build on the
   // new relation iff F <= |prefix|. The seek found R <= F records, so R >
-  // |prefix| settles it; an empty R joins nothing either way, and F is at
-  // most the candidate count. Otherwise count F, stopping past |prefix|.
-  const PositionCandidates cands = CandidatesOf(spec, store);
+  // |prefix| settles it; an empty R joins nothing either way. F is at most
+  // the access path's record count, and exactly that when the filter passes
+  // every record. Otherwise count F, stopping past |prefix|.
   if (in.positions.size() > rows.size()) {
     in.build_on_scan = false;
-  } else if (in.positions.empty() || cands.count <= rows.size()) {
+  } else if (in.positions.empty() || a.records <= rows.size()) {
     in.build_on_scan = true;
+  } else if (filter.PassesAll()) {
+    in.build_on_scan = false;
   } else {
-    BLEND_ASSIGN_OR_RETURN(
-        const bool more,
-        MorePassThan(cands, filter, rows.size(), sched, control, trace));
+    BLEND_ASSIGN_OR_RETURN(const bool more,
+                           MorePassThan(AccessMorsels(a, store), a.records, filter,
+                                        rows.size(), sched, control, trace));
     in.build_on_scan = !more;
   }
   return in;
 }
 
 // ---------------------------------------------------------------------------
-// Describe mode for the generic pipeline. The fast paths describe themselves
+// Describe mode for the generic pipeline. The fused paths describe themselves
 // at their gate (they know their geometry before running); the generic
 // pipeline's plan is derived here from scan metadata and chunk-size
 // constants only — describe must not run ScanRel, join, or charge budgets.
 // ---------------------------------------------------------------------------
 
+/// "seek N < scan M records" (sought) or "seek N >= scan M records"
+/// (scanned): the comparison the key-seek rule made for a posting-backed
+/// relation.
+std::string SeekRuleDetail(const KeySeekPlan& p) {
+  return "seek " + std::to_string(p.seek_records) + (p.chosen ? " < " : " >= ") +
+         "scan " + std::to_string(p.scan_records) + " records";
+}
 
 /// Plan node for one generic-pipeline relation scan, mirroring ScanRel's
 /// access-path choice and exact morsel geometry without touching postings.
 template <typename Store>
-PlanNode DescribeScanNode(const AnalyzedRel& rel, const Store& store,
-                          const Dictionary& dict, int depth) {
-  const ScanSpec spec = ClassifyScan(rel.scan_pred);
+PlanNode DescribeScanNode(const RelAccess& a, const Store& store, int depth) {
   PlanNode node;
   node.depth = depth;
   node.op = "Scan";
   node.stage = TraceStage::kScan;
-  uint64_t records = 0;
   size_t tasks = 0;
-  if (spec.cell_in != nullptr) {
-    const std::vector<CellId> cells = ResolveCellIds(*spec.cell_in, dict);
-    for (CellId id : cells) {
-      const size_t n = store.PostingCount(id);
-      records += n;
-      tasks += (n + kScanMorselRecords - 1) / kScanMorselRecords;
+  if (a.posting_backed()) {
+    for (CellId id : a.cells) {
+      tasks += (store.PostingCount(id) + kScanMorselRecords - 1) / kScanMorselRecords;
     }
-    node.detail = "CellValue index: " + std::to_string(cells.size()) + " cells";
-    if (spec.table_in != nullptr) node.detail += "; TableId filter";
+    node.detail = "CellValue index: " + std::to_string(a.cells.size()) + " cells";
+    if (a.spec.table_in != nullptr) node.detail += "; TableId filter";
   } else {
-    const PositionCandidates cands = CandidatesOf(spec, store);
-    records = cands.count;
-    tasks = CandidateMorsels(cands).size();
-    node.detail = cands.access_path;
-    if (spec.table_in != nullptr) {
-      node.detail += ": " + std::to_string(cands.ranges.size()) + " tables";
+    tasks = CandidateMorsels(a.cands).size();
+    node.detail = a.cands.access_path;
+    if (a.spec.table_in != nullptr) {
+      node.detail += ": " + std::to_string(a.cands.ranges.size()) + " tables";
     }
   }
-  node.detail += FilterDetail(spec);
+  node.detail += FilterDetail(a.spec);
   node.detail += "; morsel=" + std::to_string(kScanMorselRecords) + " records";
-  node.est_rows = static_cast<int64_t>(records);
+  node.est_rows = static_cast<int64_t>(a.records);
   node.planned_tasks = static_cast<int64_t>(tasks);
   return node;
 }
 
 /// Plan node for a relation a key-seek join step serves: the prefix relation
-/// carrying the keys and the relation's own filters. Rows and tasks follow
+/// carrying the keys, the relation's own filters and, for a posting-backed
+/// relation, its cell count and the rule's comparison. Rows and tasks follow
 /// the prefix, so both stay unknown.
-PlanNode DescribeKeySeekNode(const AnalyzedRel& rel, size_t r, uint8_t key_side,
+PlanNode DescribeKeySeekNode(const RelAccess& a, size_t r, const KeySeekPlan& p,
                              int depth) {
-  const ScanSpec spec = ClassifyScan(rel.scan_pred);
   PlanNode node;
   node.depth = depth;
   node.op = "KeySeek";
   node.stage = TraceStage::kKeySeek;
   node.detail = "rel " + std::to_string(r) + ": seeks rel " +
-                std::to_string(key_side) + "'s (TableId, RowId) groups";
-  if (spec.table_in != nullptr) node.detail += "; TableId filter";
-  node.detail += FilterDetail(spec);
-  if (spec.need_quadrant) node.detail += "; Quadrant IS NOT NULL";
+                std::to_string(p.key_side) + "'s (TableId, RowId) groups";
+  if (a.posting_backed()) {
+    node.detail += "; CellValue filter: " + std::to_string(a.cells.size()) +
+                   " cells; " + SeekRuleDetail(p);
+  }
+  if (a.spec.table_in != nullptr) node.detail += "; TableId filter";
+  node.detail += FilterDetail(a.spec);
+  if (a.spec.need_quadrant) node.detail += "; Quadrant IS NOT NULL";
   node.detail += "; " + std::to_string(kKeySeekChunkKeys) + " keys/task";
   return node;
 }
@@ -2285,9 +1873,10 @@ void DescribeGenericPipeline(const AnalyzedQuery& q, const SelectStmt& stmt,
   std::vector<Binder::RelColumns> rel_cols;
   for (const auto& rel : q.rels) rel_cols.push_back(rel.visible);
   const Binder binder(&dict, rel_cols);
-  std::vector<std::optional<uint8_t>> seek_side(q.rels.size());
+  std::vector<RelAccess> access;
+  for (const auto& rel : q.rels) access.push_back(ResolveAccess(rel, store, dict));
+  const auto seeks = PlanKeySeeks(q, binder, access, store, options);
   for (size_t j = 0; j < q.join_ons.size(); ++j) {
-    seek_side[j + 1] = PlanKeySeek(q, binder, j, options);
     PlanNode join;
     join.depth = 1;
     join.op = "HashJoin";
@@ -2305,13 +1894,16 @@ void DescribeGenericPipeline(const AnalyzedQuery& q, const SelectStmt& stmt,
   }
   const int scan_depth = q.rels.size() > 1 ? 2 : 1;
   for (size_t r = 0; r < q.rels.size(); ++r) {
-    if (seek_side[r].has_value()) {
+    if (seeks[r].has_value() && seeks[r]->chosen) {
       describe->nodes.push_back(
-          DescribeKeySeekNode(q.rels[r], r, *seek_side[r], scan_depth));
+          DescribeKeySeekNode(access[r], r, *seeks[r], scan_depth));
       continue;
     }
-    PlanNode scan = DescribeScanNode(q.rels[r], store, dict, scan_depth);
+    PlanNode scan = DescribeScanNode(access[r], store, scan_depth);
     scan.detail = "rel " + std::to_string(r) + ": " + scan.detail;
+    if (seeks[r].has_value()) {
+      scan.detail += "; key seek declined: " + SeekRuleDetail(*seeks[r]);
+    }
     describe->nodes.push_back(std::move(scan));
   }
 }
@@ -2333,13 +1925,6 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
   const QueryControl* control = options.control;
   QueryTrace* trace = options.trace;
   BLEND_RETURN_NOT_OK(CheckControl(control, "query start"));
-
-  // Galloping compressed-domain intersection for the MC join shape.
-  if (options.enable_galloping_join) {
-    if (auto gallop = TryGallopingJoin(q, stmt, store, dict, options, describe)) {
-      return std::move(*gallop);
-    }
-  }
 
   // Fused fast paths for the dominant seeker shapes.
   if (options.enable_fused_scan_agg) {
@@ -2368,18 +1953,18 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
   for (const auto& rel : q.rels) rel_cols.push_back(rel.visible);
   Binder binder(&dict, rel_cols);
 
-  // 1. Scans. A relation a key seek can serve is not scanned up front; its
+  // 1. Scans. A relation the planner seeks is not scanned up front; its
   // step seeks it once the prefix is known.
-  std::vector<std::optional<uint8_t>> seek_side(q.rels.size());
-  for (size_t j = 0; j < q.join_ons.size(); ++j) {
-    seek_side[j + 1] = PlanKeySeek(q, binder, j, options);
-  }
+  std::vector<RelAccess> access;
+  for (const auto& rel : q.rels) access.push_back(ResolveAccess(rel, store, dict));
+  const auto seeks = PlanKeySeeks(q, binder, access, store, options);
+  auto sought = [&](size_t r) { return seeks[r].has_value() && seeks[r]->chosen; };
   std::vector<std::vector<RecordPos>> scans(q.rels.size());
   int64_t scan_bytes = 0;
   for (size_t r = 0; r < q.rels.size(); ++r) {
-    if (seek_side[r].has_value()) continue;
+    if (sought(r)) continue;
     BLEND_ASSIGN_OR_RETURN(scans[r],
-                           ScanRel(q.rels[r], store, dict, sched, control, trace));
+                           ScanRel(access[r], store, dict, sched, control, trace));
     scan_bytes += static_cast<int64_t>(scans[r].size() * sizeof(RecordPos));
     BLEND_RETURN_NOT_OK(mem.ChargeTo(scan_bytes));
   }
@@ -2400,11 +1985,11 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
                            ExtractStepKeys(q.join_ons[j], binder, step_side));
     std::vector<RecordPos>& scan = scans[step_side];
     bool build_on_scan = scan.size() <= rows.size();
-    if (seek_side[step_side].has_value()) {
+    if (sought(step_side)) {
       BLEND_ASSIGN_OR_RETURN(
           StepInput in,
-          KeySeek(q.rels[step_side], *seek_side[step_side], rows, store, dict,
-                  sched, control, trace));
+          KeySeek(access[step_side], seeks[step_side]->key_side, rows, store,
+                  dict, sched, control, trace));
       scan = std::move(in.positions);
       build_on_scan = in.build_on_scan;
       scan_bytes += static_cast<int64_t>(scan.size() * sizeof(RecordPos));

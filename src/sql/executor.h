@@ -52,18 +52,17 @@ struct QueryOptions {
   /// phase-1 projection shape. Switchable so benches can report the
   /// fused-vs-generic ratio and tests can cross-check the two paths.
   bool enable_fused_scan_agg = true;
-  /// Planner override for both key-space joins on (TableId, RowId):
-  ///   - the galloping compressed-domain intersection for the MC join shape
-  ///     (pure posting-backed equi-joins): per-relation posting cursors
-  ///     leapfrog in key space via skip-table SeekAtLeast, never decoding
-  ///     blocks that cannot contain a match;
-  ///   - the generic pipeline's key-seek join step: a relation without a
-  ///     CellValue access path (the correlation seeker's numeric-cell side)
-  ///     is not scanned up front; each distinct prefix key's record group is
-  ///     sought instead.
-  /// Results — values and row order — are byte-identical to the
-  /// materialized hash join either way; `false` forces that join so benches
-  /// and tests can A/B the two.
+  /// Planner override for the generic pipeline's key-seek join step. A join
+  /// step that equates the new relation's (TableId, RowId) with an earlier
+  /// relation's may seek each distinct prefix key's record group instead of
+  /// scanning the relation up front. The planner always seeks a relation
+  /// without a CellValue access path (the correlation seeker's numeric-cell
+  /// side); it seeks a posting-backed one (the MC seeker's later columns)
+  /// only when records-per-row × the prefix's key bound is below the
+  /// relation's posting count. Results — values and row order — are
+  /// byte-identical to the materialized hash join either way; `false` forces
+  /// that join so benches and tests can A/B the two. (The name predates the
+  /// key seek: it once enabled a galloping posting intersection.)
   bool enable_galloping_join = true;
   /// Engine-side dedup-top-k: when dedup_column >= 0, after the final
   /// ORDER BY sort only the first row per distinct value of output column
@@ -106,10 +105,11 @@ Result<QueryResult> ExecuteSelect(const SelectStmt& stmt, const Store& store,
                                   const QueryOptions& options = {});
 
 /// Plans `stmt` without executing it: runs the same dispatch cascade as
-/// ExecuteSelect in describe mode — every gate (galloping join, fused
-/// scan->agg, fused scan->project, generic) decides exactly as it would for
-/// execution, then reports the chosen pipeline, its operator tree, posting
-/// cardinalities, and planned morsel geometry instead of running tasks.
+/// ExecuteSelect in describe mode — every gate (fused scan->agg, fused
+/// scan->project, generic with its key-seek rule) decides exactly as it
+/// would for execution, then reports the chosen pipeline, its operator tree,
+/// posting cardinalities, and planned morsel geometry instead of running
+/// tasks.
 /// EXPLAIN is therefore guaranteed to describe the path the bare statement
 /// takes. Binds expressions (so it can fail with the same binder errors) but
 /// never scans, joins, or charges memory budgets.

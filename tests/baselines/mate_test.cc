@@ -94,6 +94,30 @@ TEST(MateTest, EmptyQueries) {
   EXPECT_TRUE(mate.TopK({{}}, 5, nullptr).empty());
 }
 
+TEST(MateTest, SkipsTuplesOfAnotherArity) {
+  // Rows (x, p), (y, q), (z, r). Tuples whose arity differs from the first
+  // kept tuple's are skipped, never read past their end.
+  Table t("t");
+  t.AddColumn("a");
+  t.AddColumn("b");
+  ASSERT_TRUE(t.AppendRow({"x", "p"}).ok());
+  ASSERT_TRUE(t.AppendRow({"y", "q"}).ok());
+  ASSERT_TRUE(t.AppendRow({"z", "r"}).ok());
+  DataLake lake;
+  lake.AddTable(std::move(t));
+  Mate mate(&lake);
+  Mate::Stats stats;
+  // {x, q} is in no row; the short {y} is skipped.
+  EXPECT_TRUE(mate.TopK({{"x", "q"}, {"y"}}, 5, &stats).empty());
+  EXPECT_EQ(stats.true_positives, 0u);
+  // Here the first tuple is the short one: {y} matches row (y, q), the
+  // longer tuples are skipped.
+  const auto out = mate.TopK({{"y"}, {"x", "q"}, {"z", "r", "s"}}, 5, &stats);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].table, 0);
+  EXPECT_EQ(stats.true_positives, 1u);
+}
+
 TEST(MateTest, IndexBytesPositive) {
   auto fig1 = lakegen::MakeFig1Lake();
   Mate mate(&fig1.lake);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -8,6 +11,7 @@
 #include "common/eventlog.h"
 #include "common/json_check.h"
 #include "common/telemetry.h"
+#include "common/str_util.h"
 #include "core/blend.h"
 #include "lakegen/join_lake.h"
 
@@ -96,7 +100,7 @@ TEST_F(IntrospectionTest, RunReportCapturesAnnotatedStatementPlans) {
 }
 
 TEST_F(IntrospectionTest, CorrelationStatementExplainsItsKeySeek) {
-  // A real CorrelationSeeker statement. With the galloping override on, the
+  // A real CorrelationSeeker statement. With the key-seek override on, the
   // numeric-cell relation is a key-seek node driven by the keys relation and
   // ANALYZE reports its own actuals; with it off, the
   // plan is the Quadrant partial-index scan feeding the hash join. The rows
@@ -162,6 +166,134 @@ TEST_F(IntrospectionTest, CorrelationStatementExplainsItsKeySeek) {
   }
   EXPECT_FALSE(rows[0].empty());
   EXPECT_EQ(rows[0], rows[1]);
+}
+
+TEST_F(IntrospectionTest, McSeekerStatementExplainsTheKeySeekRule) {
+  // Real MCSeeker statements on either side of the key-seek rule. Both run
+  // the generic pipeline. When relation 0 has at least as many postings as
+  // relation 1 the rule declines (records-per-row × P0 >= P1) and relation 1
+  // is a CellValue-index scan; a rare relation-0 value against the lake's
+  // most frequent values makes relation 1 a KeySeek. Either way the node
+  // names the two record counts compared, and the seeker's tables and the
+  // statement's rows match the override-off hash join.
+  Blend blend(&lake_);
+  const ColumnStore& store = blend.bundle().column_store();
+  const Dictionary& dict = blend.bundle().dictionary();
+  auto postings = [&](const std::vector<std::string>& values) {
+    std::set<CellId> ids;
+    for (const auto& v : values) ids.insert(dict.Find(NormalizeCell(v)));
+    uint64_t n = 0;
+    for (CellId id : ids) n += id == kInvalidCellId ? 0 : store.PostingCount(id);
+    return n;
+  };
+  const uint64_t rpr = store.RecordsPerRow();
+
+  // Balanced: the first ten rows of table 5, the heavier column first.
+  const Table& t5 = lake_.table(5);
+  std::vector<std::string> col0, col1;
+  for (size_t r = 0; r < 10; ++r) {
+    col0.push_back(t5.At(r, 0));
+    col1.push_back(t5.At(r, 1));
+  }
+  if (postings(col0) < postings(col1)) std::swap(col0, col1);
+  std::vector<std::vector<std::string>> balanced;
+  for (size_t r = 0; r < col0.size(); ++r) balanced.push_back({col0[r], col1[r]});
+
+  // Selective: the rarest of those values against the most frequent ones.
+  std::string rare = col0[0];
+  for (const auto& v : col0) {
+    if (postings({v}) < postings({rare})) rare = v;
+  }
+  std::map<std::string, uint64_t> freq;
+  for (size_t t = 0; t < lake_.NumTables(); ++t) {
+    const Table& table = lake_.table(static_cast<TableId>(t));
+    for (size_t c = 0; c < table.NumColumns(); ++c) {
+      for (const auto& v : table.column(c).cells) {
+        if (!NormalizeCell(v).empty() && v != rare) freq[v] = postings({v});
+      }
+    }
+  }
+  std::vector<std::pair<uint64_t, std::string>> ranked;
+  for (const auto& [v, n] : freq) ranked.emplace_back(n, v);
+  std::sort(ranked.rbegin(), ranked.rend());
+  std::vector<std::string> wide;
+  for (const auto& [n, v] : ranked) {
+    if (postings(wide) > rpr * postings({rare})) break;
+    wide.push_back(v);
+  }
+  std::vector<std::vector<std::string>> selective;
+  for (const auto& w : wide) selective.push_back({rare, w});
+
+  struct Case {
+    std::vector<std::vector<std::string>> tuples;
+    std::vector<std::string> rel0, rel1;
+    bool seeks;
+  };
+  for (const Case& c : {Case{balanced, col0, col1, false},
+                        Case{selective, {rare}, wide, true}}) {
+    SCOPED_TRACE(c.seeks ? "selective" : "balanced");
+    const MCSeeker mc(c.tuples, 6);
+    const std::string sql = mc.GenerateSql("", -1);
+    const uint64_t seek = rpr * postings(c.rel0);
+    const uint64_t scan = postings(c.rel1);
+    ASSERT_EQ(seek < scan, c.seeks) << seek << " vs " << scan;
+    const std::string rule = "seek " + std::to_string(seek) +
+                             (c.seeks ? " < " : " >= ") + "scan " +
+                             std::to_string(scan) + " records";
+
+    auto described = blend.engine().Query("EXPLAIN " + sql);
+    ASSERT_TRUE(described.ok()) << described.status().ToString();
+    const sql::PlanDescription& plan = described.value().plan;
+    EXPECT_EQ(plan.pipeline, "generic");
+    const sql::PlanNode* rel1 = nullptr;
+    for (const sql::PlanNode& node : plan.nodes) {
+      if (node.detail.rfind("rel 1:", 0) == 0) rel1 = &node;
+    }
+    ASSERT_NE(rel1, nullptr) << described.value().explain_text;
+    if (c.seeks) {
+      EXPECT_EQ(rel1->op, "KeySeek");
+      const std::set<std::string> distinct(wide.begin(), wide.end());
+      EXPECT_NE(rel1->detail.find("seeks rel 0's (TableId, RowId) groups; "
+                                  "CellValue filter: " +
+                                  std::to_string(distinct.size()) + " cells; " + rule),
+                std::string::npos)
+          << rel1->detail;
+    } else {
+      EXPECT_EQ(rel1->op, "Scan");
+      EXPECT_NE(rel1->detail.find("key seek declined: " + rule), std::string::npos)
+          << rel1->detail;
+    }
+
+    sql::QueryOptions off;
+    off.enable_galloping_join = false;
+    auto analyzed = blend.engine().Query("EXPLAIN ANALYZE " + sql);
+    auto hashed = blend.engine().Query(sql, off);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+    EXPECT_EQ(analyzed.value().rows, hashed.value().rows);
+    if constexpr (kTelemetryEnabled) {
+      if (c.seeks) {
+        for (const sql::PlanNode& node : analyzed.value().plan.nodes) {
+          if (node.op == "KeySeek") {
+            EXPECT_GE(node.actual_tasks, 1);
+          }
+        }
+      }
+    }
+
+    Blend::Options off_opts;
+    off_opts.enable_galloping_join = false;
+    Blend hash_blend(&lake_, off_opts);
+    auto got = mc.Execute(blend.context(), "");
+    auto want = mc.Execute(hash_blend.context(), "");
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_EQ(got.value().size(), want.value().size());
+    for (size_t i = 0; i < got.value().size(); ++i) {
+      EXPECT_EQ(got.value()[i].table, want.value()[i].table);
+      EXPECT_EQ(got.value()[i].score, want.value()[i].score);
+    }
+  }
 }
 
 TEST_F(IntrospectionTest, ScSeekerStatementExplainsItsPackedTopK) {

@@ -266,6 +266,32 @@ TEST(SeekerTest, McStatsAreConsistent) {
   EXPECT_LE(st.bloom_pass_rows, st.candidate_rows);
 }
 
+TEST(SeekerTest, McRejectsMixedArityTuples) {
+  // Tuples {x, q} and {y} over rows (x, p), (y, q), (z, r): no row holds a
+  // full query tuple. Joined on the first tuple's two columns and validated
+  // tuple by tuple, row (y, q) would pass as a match for the short {y}.
+  Table t("t");
+  t.AddColumn("a");
+  t.AddColumn("b");
+  ASSERT_TRUE(t.AppendRow({"x", "p"}).ok());
+  ASSERT_TRUE(t.AppendRow({"y", "q"}).ok());
+  ASSERT_TRUE(t.AppendRow({"z", "r"}).ok());
+  DataLake lake;
+  lake.AddTable(std::move(t));
+  Blend blend(&lake);
+  for (const auto& tuples : std::vector<std::vector<std::vector<std::string>>>{
+           {{"x", "q"}, {"y"}}, {{"y"}, {"x", "q"}}, {{"x", "q"}, {"y", "q", "r"}}}) {
+    auto r = MCSeeker(tuples, 10).Execute(blend.context(), "");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << r.status().ToString();
+  }
+  // A tuple dropped for an empty cell does not count towards the arity.
+  auto r = MCSeeker({{"y", "q"}, {"x", ""}}, 10).Execute(blend.context(), "");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().size(), 1u);
+  EXPECT_EQ(r.value()[0].table, 0);
+}
+
 TEST(SeekerTest, CorrelationSeekerFindsCorrelatedTables) {
   lakegen::CorrLakeSpec spec;
   spec.num_tables = 60;

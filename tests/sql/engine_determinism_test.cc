@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -34,7 +35,7 @@ std::vector<Scheduler*> TestPools() {
 /// seeker-shaped SQL, Query over a pool of N threads must return rows
 /// byte-identical (values *and* order) to the serial run, for N in
 /// {2, 4, hardware}, on both physical layouts, with the fused fast paths on
-/// or off, with the galloping join on or off (join shapes), and when the
+/// or off, with the key-seek override on or off (join shapes), and when the
 /// bundle serves block-compressed postings in memory instead of raw ones.
 class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
  protected:
@@ -97,8 +98,8 @@ class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   /// Runs `sql` serially on the raw-served engine as the reference, then
-  /// asserts every (serving codec, pool, fused, galloping) combination
-  /// reproduces it exactly on both layouts. The galloping dimension is only
+  /// asserts every (serving codec, pool, fused, key-seek override)
+  /// combination reproduces it exactly on both layouts. The override is only
   /// swept for join statements — it cannot engage anywhere else. Every run,
   /// the reference included, applies the given engine-side dedup-top-k.
   void ExpectDeterministic(const std::string& sql, int dedup_column = -1,
@@ -245,9 +246,8 @@ TEST_P(EngineDeterminismTest, McJoinShape) {
 }
 
 TEST_P(EngineDeterminismTest, McJoinShapeWithLimitAndThreeRelations) {
-  // LIMIT exercises the galloping join's run-capped emission; the three-way
-  // join exercises its later leapfrog steps (keys-vs-cursors) and both
-  // orientations of the step replay.
+  // LIMIT caps the join's emission; the three-way join runs a second join
+  // step on the prefix of the first.
   Rng rng(GetParam() * 67 + 9);
   ExpectDeterministic(
       "SELECT a.TableId, a.RowId, a.SuperKey FROM "
@@ -293,7 +293,7 @@ TEST_P(EngineDeterminismTest, CorrelationShape) {
 
 /// Key-seek join statements: no GROUP BY / ORDER BY, so the raw join
 /// emission order is the output order and any divergence from the
-/// materialized hash join (galloping override off) shows directly. Each runs
+/// materialized hash join (key-seek override off) shows directly. Each runs
 /// the full determinism matrix, then a traced run pins how many join steps
 /// the key seek served.
 class KeySeekDeterminismTest : public EngineDeterminismTest {
@@ -322,6 +322,117 @@ class KeySeekDeterminismTest : public EngineDeterminismTest {
       " ON k.TableId = n.TableId AND k.RowId = n.RowId AND k.ColumnId <> n.ColumnId";
   static constexpr const char* kSelect =
       "SELECT k.TableId, k.RowId, k.ColumnId, n.ColumnId, n.Quadrant FROM ";
+
+  // --- MC shape: posting-backed relations joined on (TableId, RowId). ---
+
+  /// Postings of `values` (normalized, duplicates counted once) in the
+  /// column-store bundle: the record count of a CellValue IN scan.
+  size_t Postings(const std::vector<std::string>& values) const {
+    std::vector<CellId> ids;
+    for (const std::string& v : values) {
+      ids.push_back(col_bundle_.dictionary().Find(NormalizeCell(v)));
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    size_t n = 0;
+    for (CellId id : ids) {
+      if (id != kInvalidCellId) n += col_bundle_.column_store().PostingCount(id);
+    }
+    return n;
+  }
+  size_t RecordsPerRow() const { return col_bundle_.column_store().RecordsPerRow(); }
+
+  /// The lake's distinct non-empty cell values, most postings first (ties by
+  /// value).
+  std::vector<std::string> ByPostings() const {
+    std::vector<std::pair<size_t, std::string>> ranked;
+    std::set<std::string> seen;
+    for (size_t t = 0; t < lake_.NumTables(); ++t) {
+      const Table& table = lake_.table(static_cast<TableId>(t));
+      for (size_t c = 0; c < table.NumColumns(); ++c) {
+        for (const std::string& v : table.column(c).cells) {
+          if (!NormalizeCell(v).empty() && seen.insert(v).second) {
+            ranked.emplace_back(Postings({v}), v);
+          }
+        }
+      }
+    }
+    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    std::vector<std::string> out;
+    for (auto& [n, v] : ranked) out.push_back(std::move(v));
+    return out;
+  }
+
+  /// A selective MC probe against a wide side. `probe` is the rarest cell of
+  /// a row holding two more cells whose CellValue ids run against their
+  /// column order (`pair`); `wide` is that pair plus the lake's most frequent
+  /// values until its postings exceed records-per-row × the probe's, so the
+  /// planner seeks it.
+  struct SelectiveShape {
+    std::vector<std::string> probe, wide;
+  };
+  SelectiveShape Selective(size_t extra_wide = 0) const {
+    const Dictionary& dict = col_bundle_.dictionary();
+    SelectiveShape best;
+    size_t best_postings = SIZE_MAX;
+    for (size_t t = 0; t < lake_.NumTables(); ++t) {
+      const Table& table = lake_.table(static_cast<TableId>(t));
+      for (size_t r = 0; r < table.NumRows(); ++r) {
+        std::vector<std::string> cells;
+        for (size_t c = 0; c < table.NumColumns(); ++c) {
+          if (!NormalizeCell(table.At(r, c)).empty()) cells.push_back(table.At(r, c));
+        }
+        if (cells.size() < 3) continue;
+        size_t probe = 0;
+        for (size_t i = 1; i < cells.size(); ++i) {
+          if (Postings({cells[i]}) < Postings({cells[probe]})) probe = i;
+        }
+        for (size_t i = 0; i < cells.size(); ++i) {
+          for (size_t j = i + 1; j < cells.size(); ++j) {
+            if (i == probe || j == probe || cells[i] == cells[j]) continue;
+            if (dict.Find(NormalizeCell(cells[j])) >= dict.Find(NormalizeCell(cells[i]))) {
+              continue;
+            }
+            if (Postings({cells[probe]}) < best_postings) {
+              best_postings = Postings({cells[probe]});
+              best = {{cells[probe]}, {cells[i], cells[j]}};
+            }
+          }
+        }
+      }
+    }
+    EXPECT_FALSE(best.probe.empty()) << "no row with two cells in reversed id order";
+    const std::vector<std::string> ranked = ByPostings();
+    const size_t need = RecordsPerRow() * Postings(best.probe);
+    size_t added = 0;
+    for (const std::string& v : ranked) {
+      if (Postings(best.wide) > need && added >= extra_wide) break;
+      if (v == best.probe[0] || v == best.wide[0] || v == best.wide[1]) continue;
+      best.wide.push_back(v);
+      if (Postings(best.wide) > need) ++added;
+    }
+    EXPECT_GT(Postings(best.wide), need);
+    return best;
+  }
+
+  static std::string McRel(const std::vector<std::string>& values,
+                           const std::string& alias) {
+    return "(SELECT TableId, RowId, ColumnId, SuperKey FROM AllTables WHERE "
+           "CellValue IN (" + SqlInList(values) + ")) AS " + alias;
+  }
+  static std::string McJoin(const std::string& alias) {
+    return " ON a.TableId = " + alias + ".TableId AND a.RowId = " + alias + ".RowId";
+  }
+  /// The MC seeker's statement with the joined relation's ColumnId exposed,
+  /// so the order of one row's matches on that relation shows in the output.
+  static std::string McSql(const std::vector<std::string>& a,
+                           const std::vector<std::string>& b,
+                           const std::string& tail = ";") {
+    return "SELECT a.TableId, a.RowId, a.SuperKey, b.ColumnId FROM " + McRel(a, "a") +
+           " INNER JOIN " + McRel(b, "b") + McJoin("b") + tail;
+  }
 };
 
 TEST_P(KeySeekDeterminismTest, ProbesWithSoughtRecordsWhenTheyOutnumberThePrefix) {
@@ -430,6 +541,60 @@ TEST_P(KeySeekDeterminismTest, ThreeRelationChainSeeksOnRelationOne) {
       2);
 }
 
+TEST_P(KeySeekDeterminismTest, SeeksTheWideSideOfASelectiveMcJoin) {
+  // Records-per-row × the probe's postings < the wide side's postings: the
+  // planner seeks the wide side. Its sought positions must come back in
+  // posting-scan order — one row holds two wide-side cells whose ids run
+  // against their column order.
+  const SelectiveShape shape = Selective();
+  ExpectKeySeekDeterministic(McSql(shape.probe, shape.wide), 1);
+  ExpectKeySeekDeterministic(McSql(shape.probe, shape.wide, " LIMIT 3;"), 1);
+  ExpectKeySeekDeterministic(McSql(shape.probe, shape.wide, " LIMIT 1;"), 1);
+}
+
+TEST_P(KeySeekDeterminismTest, HashJoinsBalancedMcSides) {
+  // Relation 1 has no more postings than relation 0, so a seek cannot read
+  // fewer records than the scan: the planner hash-joins, override or not.
+  Rng rng(GetParam() * 101 + 16);
+  const std::vector<std::string> ranked = ByPostings();
+  const std::vector<std::string> heavy(ranked.begin(), ranked.begin() + 20);
+  const std::vector<std::string> light(ranked.begin() + 20, ranked.begin() + 40);
+  ASSERT_GE(Postings(heavy), Postings(light));
+  ExpectKeySeekDeterministic(McSql(heavy, light), 0);
+  ExpectKeySeekDeterministic(McSql(heavy, light, " LIMIT 5;"), 0);
+  // The MC seeker's own balanced shape: one random IN-list on both sides.
+  const std::string in = RandomInList(&rng, 25);
+  ExpectKeySeekDeterministic(
+      "SELECT a.TableId, a.RowId, a.SuperKey FROM (SELECT TableId, RowId, SuperKey "
+      "FROM AllTables WHERE CellValue IN (" + in + ")) AS a INNER JOIN (SELECT "
+      "TableId, RowId FROM AllTables WHERE CellValue IN (" + in + ")) AS b"
+      " ON a.TableId = b.TableId AND a.RowId = b.RowId;",
+      0);
+  // The selective shape reversed: the probe is the joined relation.
+  const SelectiveShape shape = Selective();
+  ExpectKeySeekDeterministic(McSql(shape.wide, shape.probe), 0);
+}
+
+TEST_P(KeySeekDeterminismTest, McChainBoundsKeysByEveryEquatedRelation) {
+  // selective ⋈ wide ⋈ wide: both steps seek. wide ⋈ selective ⋈ wide: step
+  // 1 scans the probe, and step 2 seeks because the prefix's keys are bounded
+  // by the probe's postings, not relation 0's.
+  const SelectiveShape shape = Selective();
+  const SelectiveShape wider = Selective(/*extra_wide=*/8);
+  const std::string select =
+      "SELECT a.TableId, a.RowId, b.ColumnId, c.ColumnId FROM ";
+  ExpectKeySeekDeterministic(select + McRel(shape.probe, "a") + " INNER JOIN " +
+                                 McRel(shape.wide, "b") + McJoin("b") +
+                                 " INNER JOIN " + McRel(wider.wide, "c") +
+                                 McJoin("c") + ";",
+                             2);
+  ExpectKeySeekDeterministic(select + McRel(shape.wide, "a") + " INNER JOIN " +
+                                 McRel(shape.probe, "b") + McJoin("b") +
+                                 " INNER JOIN " + McRel(wider.wide, "c") +
+                                 McJoin("c") + " LIMIT 4;",
+                             1);
+}
+
 TEST_P(EngineDeterminismTest, FullScanAggregatesWithDoubleSums) {
   // SUM/AVG over a full scan exercises the chunk-merge order of the parallel
   // aggregation (floating-point addition is where nondeterminism would show
@@ -442,12 +607,11 @@ TEST_P(EngineDeterminismTest, FullScanAggregatesWithDoubleSums) {
 TEST_P(EngineDeterminismTest, QueryControlPreservesByteIdentity) {
   // The control dimension of the determinism matrix: a query that completes
   // under a generous deadline (and memory budget) must be byte-identical to
-  // the unconstrained serial run across serving codecs, pools, and fused /
-  // galloping settings — the cooperative checks may not alter morsel
-  // geometry or merge order — and an already-expired deadline must return
-  // kDeadlineExceeded, never a partial result. The MC join statement routes
-  // through the galloping intersection when it is enabled, so both the fused
-  // and the compressed-domain operators run under the control here.
+  // the unconstrained serial run across serving codecs, pools, and fused
+  // settings — the cooperative checks may not alter morsel geometry or
+  // merge order — and an already-expired deadline must return
+  // kDeadlineExceeded, never a partial result. Both the fused aggregate and
+  // the MC join statement's scans and hash join run under the control here.
   Rng rng(GetParam() * 61 + 8);
   const std::vector<std::string> sqls = {
       "SELECT TableId, ColumnId, COUNT(DISTINCT CellValue) AS score "
@@ -503,7 +667,7 @@ TEST_P(EngineDeterminismTest, QueryControlPreservesByteIdentity) {
 TEST_P(EngineDeterminismTest, TraceTelemetryPreservesByteIdentity) {
   // The telemetry dimension of the determinism matrix: attaching a QueryTrace
   // must be pure observation — byte-identical results vs the untraced serial
-  // reference across serving codecs, pools, and fused / galloping settings.
+  // reference across serving codecs, pools, and fused / key-seek settings.
   // Spans record what the executor already decided; morsel geometry, task
   // order, and merge order are untouched. The traced runs must also actually
   // record (non-zero engine queries, at least one stage) when telemetry is
@@ -575,7 +739,7 @@ TEST_P(EngineDeterminismTest, ExplainAnalyzePreservesByteIdentity) {
   // The introspection dimension of the determinism matrix: `EXPLAIN ANALYZE
   // <q>` executes the bare statement unchanged, so its rows must be
   // byte-identical to `<q>` across serving codecs, pools, and fused /
-  // galloping settings — describing and annotating the plan may not perturb
+  // key-seek settings — describing and annotating the plan may not perturb
   // morsel geometry, task order, or merge order. Every annotated run must
   // also carry a non-empty plan (pipeline named, at least one node), so the
   // dimension cannot silently degrade into explaining nothing.
