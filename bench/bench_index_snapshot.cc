@@ -1,18 +1,15 @@
-// Persistent index snapshots: save/load throughput, the load-vs-rebuild
+// Persistent index snapshots: save/load throughput and the load-vs-rebuild
 // speedup that justifies the subsystem — a serving fleet cold-starts by
-// loading the artifact, not by re-indexing the lake — and the postings
-// codec trade-off (compressed containers shrink the artifact's dominant
-// section at the cost of per-block decode on the query path). Reported per
-// layout x codec: snapshot bytes, postings-section bytes, write and read
-// MB/s, heap-load (ReadSnapshot) and zero-copy mmap (OpenSnapshot) wall
-// time, the speedup of each load path over a full IndexBuilder rebuild, and
-// the probe-query throughput on the loaded bundle. A query is run against
-// every loaded bundle and checked byte-identical to the built index, so the
-// harness doubles as a round-trip regression gate; the compressed codec must
-// shrink the postings section at least 2x or the bench fails.
+// loading the artifact, not by re-indexing the lake. Reported per layout:
+// snapshot bytes, write and read MB/s, heap-load (ReadSnapshot) and
+// zero-copy mmap (OpenSnapshot) wall time, the speedup of each load path
+// over a full IndexBuilder rebuild, and the probe-query throughput on the
+// loaded bundle. A query is run against every loaded bundle and checked
+// byte-identical to the built index, so the harness doubles as a round-trip
+// regression gate.
 //
 // `--smoke` runs on a small lake (wired into CI); the summary table and the
-// per-codec BENCH_snapshot.json lines are emitted either way.
+// BENCH_snapshot.json line are emitted either way.
 
 #include <cstdio>
 #include <cstring>
@@ -81,18 +78,16 @@ int main(int argc, char** argv) {
       SqlInList(values) + ") GROUP BY TableId, ColumnId "
       "ORDER BY score DESC LIMIT 25;";
 
-  TablePrinter tp({"Layout", "Codec", "Snapshot", "Postings", "Save",
-                   "Read(heap)", "Open(mmap)", "Write MB/s", "Load speedup",
-                   "Query QPS"});
+  TablePrinter tp({"Layout", "Snapshot", "Save", "Read(heap)", "Open(mmap)",
+                   "Write MB/s", "Load speedup", "Query QPS"});
   bool identical = true;
-  struct CodecStats {
+  struct SnapshotStats {
     size_t bytes = 0;
-    size_t posting_bytes = 0;
     double write_mbps = 0, read_mbps = 0;
     double read_speedup = 0, open_speedup = 0;
     double qps = 0;
   };
-  CodecStats stats[2];  // column layout, indexed by codec id
+  SnapshotStats column;  // column layout
   for (StoreLayout layout : {StoreLayout::kColumn, StoreLayout::kRow}) {
     IndexBuildOptions opts;
     opts.layout = layout;
@@ -102,104 +97,71 @@ int main(int argc, char** argv) {
     IndexBundle built = builder.Build(lake);
     const std::string want = QueryDump(built, sqltext);
 
-    for (PostingCodec codec : {PostingCodec::kRaw, PostingCodec::kCompressed}) {
-      SnapshotOptions snap_opts;
-      snap_opts.codec = codec;
-      Status first_save = WriteSnapshot(built, path, snap_opts);
-      if (!first_save.ok()) {
-        std::fprintf(stderr, "%s\n", first_save.ToString().c_str());
-        return 1;
-      }
-      const double save_s = bench::MeasureSeconds(
-          [&] { (void)WriteSnapshot(built, path, snap_opts).ok(); }, reps);
-      const size_t bytes = SnapshotBytes(built, snap_opts);
-      const size_t posting_bytes = SnapshotPostingBytes(built, snap_opts);
+    Status first_save = WriteSnapshot(built, path);
+    if (!first_save.ok()) {
+      std::fprintf(stderr, "%s\n", first_save.ToString().c_str());
+      return 1;
+    }
+    const double save_s = bench::MeasureSeconds(
+        [&] { (void)WriteSnapshot(built, path).ok(); }, reps);
+    const size_t bytes = SnapshotBytes(built);
 
-      // Both load paths are measured to the same finish line — the probe
-      // query answered — so "time until the bundle actually serves" is
-      // comparable between the heap copy and the lazily faulted mapping.
-      const double read_s = bench::MeasureSeconds(
-          [&] {
-            auto bundle = ReadSnapshot(path);
-            if (QueryDump(bundle.ValueOrDie(), sqltext) != want) identical = false;
-          },
-          reps);
-      const double open_s = bench::MeasureSeconds(
-          [&] {
-            auto bundle = OpenSnapshot(path);
-            if (QueryDump(bundle.ValueOrDie(), sqltext) != want) identical = false;
-          },
-          reps);
-      // Steady-state query throughput on the served (mmap) bundle: what the
-      // per-block decode of the compressed codec costs at serve time.
-      auto served = OpenSnapshot(path);
-      sql::Engine served_engine(&served.ValueOrDie());
-      const double query_s = bench::MeasureSeconds(
-          [&] { (void)served_engine.Query(sqltext); }, query_reps);
-      const double qps = query_s > 0 ? 1.0 / query_s : 0;
+    // Both load paths are measured to the same finish line — the probe
+    // query answered — so "time until the bundle actually serves" is
+    // comparable between the heap copy and the lazily faulted mapping.
+    const double read_s = bench::MeasureSeconds(
+        [&] {
+          auto bundle = ReadSnapshot(path);
+          if (QueryDump(bundle.ValueOrDie(), sqltext) != want) identical = false;
+        },
+        reps);
+    const double open_s = bench::MeasureSeconds(
+        [&] {
+          auto bundle = OpenSnapshot(path);
+          if (QueryDump(bundle.ValueOrDie(), sqltext) != want) identical = false;
+        },
+        reps);
+    // Steady-state query throughput on the served (mmap) bundle.
+    auto served = OpenSnapshot(path);
+    sql::Engine served_engine(&served.ValueOrDie());
+    const double query_s = bench::MeasureSeconds(
+        [&] { (void)served_engine.Query(sqltext); }, query_reps);
+    const double qps = query_s > 0 ? 1.0 / query_s : 0;
 
-      const double read_speedup = build_s / read_s;
-      const double open_speedup = build_s / open_s;
-      tp.AddRow({layout == StoreLayout::kColumn ? "column" : "row",
-                 PostingCodecName(codec), bench::FmtBytes(bytes),
-                 bench::FmtBytes(posting_bytes), bench::FmtSeconds(save_s),
-                 bench::FmtSeconds(read_s), bench::FmtSeconds(open_s),
-                 TablePrinter::Fmt(Mbps(bytes, save_s), 0),
-                 TablePrinter::Fmt(open_speedup, 1) + "x",
-                 TablePrinter::Fmt(qps, 0)});
-      if (layout == StoreLayout::kColumn) {
-        CodecStats& cs = stats[static_cast<size_t>(codec)];
-        cs.bytes = bytes;
-        cs.posting_bytes = posting_bytes;
-        cs.write_mbps = Mbps(bytes, save_s);
-        cs.read_mbps = Mbps(bytes, read_s);
-        cs.read_speedup = read_speedup;
-        cs.open_speedup = open_speedup;
-        cs.qps = qps;
-      }
+    const double read_speedup = build_s / read_s;
+    const double open_speedup = build_s / open_s;
+    tp.AddRow({layout == StoreLayout::kColumn ? "column" : "row",
+               bench::FmtBytes(bytes), bench::FmtSeconds(save_s),
+               bench::FmtSeconds(read_s), bench::FmtSeconds(open_s),
+               TablePrinter::Fmt(Mbps(bytes, save_s), 0),
+               TablePrinter::Fmt(open_speedup, 1) + "x",
+               TablePrinter::Fmt(qps, 0)});
+    if (layout == StoreLayout::kColumn) {
+      column.bytes = bytes;
+      column.write_mbps = Mbps(bytes, save_s);
+      column.read_mbps = Mbps(bytes, read_s);
+      column.read_speedup = read_speedup;
+      column.open_speedup = open_speedup;
+      column.qps = qps;
     }
   }
   std::remove(path.c_str());
 
-  const CodecStats& raw = stats[0];
-  const CodecStats& comp = stats[1];
-  const double posting_ratio =
-      comp.posting_bytes > 0
-          ? static_cast<double>(raw.posting_bytes) /
-                static_cast<double>(comp.posting_bytes)
-          : 0;
-  std::printf("\n%s", tp.Render("Index snapshots: save/load vs rebuild, per "
-                                "postings codec (lake cells: " +
+  std::printf("\n%s", tp.Render("Index snapshots: save/load vs rebuild "
+                                "(lake cells: " +
                                 std::to_string(lake.TotalCells()) + ")")
                           .c_str());
-  std::printf("Compressed postings: %.2fx smaller than raw (%zu -> %zu bytes); "
-              "whole artifact %.2fx smaller.\n",
-              posting_ratio, raw.posting_bytes, comp.posting_bytes,
-              comp.bytes > 0 ? static_cast<double>(raw.bytes) /
-                                   static_cast<double>(comp.bytes)
-                             : 0);
   std::printf("Loaded bundles answer the probe query %s.\n",
               identical ? "byte-identically" : "DIVERGENTLY (BUG)");
-  for (PostingCodec codec : {PostingCodec::kRaw, PostingCodec::kCompressed}) {
-    const CodecStats& cs = stats[static_cast<size_t>(codec)];
-    std::printf(
-        "BENCH_snapshot.json {\"bench\":\"index_snapshot\",\"smoke\":%s,"
-        "\"codec\":\"%s\",\"lake_cells\":%zu,\"snapshot_bytes\":%zu,"
-        "\"posting_bytes\":%zu,\"posting_compression\":%.2f,"
-        "\"write_mbps\":%.1f,\"read_mbps\":%.1f,"
-        "\"read_speedup_vs_rebuild\":%.1f,\"open_speedup_vs_rebuild\":%.1f,"
-        "\"query_qps\":%.1f,\"identical\":%s}\n",
-        smoke ? "true" : "false", PostingCodecName(codec), lake.TotalCells(),
-        cs.bytes, cs.posting_bytes,
-        codec == PostingCodec::kCompressed ? posting_ratio : 1.0,
-        cs.write_mbps, cs.read_mbps, cs.read_speedup, cs.open_speedup, cs.qps,
-        identical ? "true" : "false");
-  }
-  const bool speedup_ok = raw.open_speedup >= (smoke ? 1.0 : 10.0);
-  const bool compression_ok = posting_ratio >= 2.0;
-  if (!compression_ok) {
-    std::printf("FAIL: compressed postings must be >= 2x smaller than raw "
-                "(got %.2fx)\n", posting_ratio);
-  }
-  return identical && speedup_ok && compression_ok ? 0 : 1;
+  std::printf(
+      "BENCH_snapshot.json {\"bench\":\"index_snapshot\",\"smoke\":%s,"
+      "\"lake_cells\":%zu,\"snapshot_bytes\":%zu,"
+      "\"write_mbps\":%.1f,\"read_mbps\":%.1f,"
+      "\"read_speedup_vs_rebuild\":%.1f,\"open_speedup_vs_rebuild\":%.1f,"
+      "\"query_qps\":%.1f,\"identical\":%s}\n",
+      smoke ? "true" : "false", lake.TotalCells(), column.bytes,
+      column.write_mbps, column.read_mbps, column.read_speedup,
+      column.open_speedup, column.qps, identical ? "true" : "false");
+  const bool speedup_ok = column.open_speedup >= (smoke ? 1.0 : 10.0);
+  return identical && speedup_ok ? 0 : 1;
 }

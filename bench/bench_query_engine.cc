@@ -102,17 +102,6 @@ std::string McJoinSql(const std::vector<std::string>& a,
          ")) AS T1 ON T0.TableId = T1.TableId AND T0.RowId = T1.RowId;";
 }
 
-/// Bytes of the posting payload actually resident for the store's codec:
-/// flat positions for raw, partition offsets + encoded blob for compressed.
-/// (CSR offsets are common to both and excluded.)
-size_t ResidentPostingBytes(const SecondaryIndexes& s) {
-  if (s.codec == PostingCodec::kRaw) {
-    return s.posting_positions.size() * sizeof(RecordPos);
-  }
-  return s.posting_partitions.size() * sizeof(uint64_t) +
-         s.posting_blob.size() * sizeof(uint8_t);
-}
-
 /// Canonical dump used to assert byte-identity across thread counts.
 std::string ResultToString(const sql::QueryResult& r) {
   std::string out;
@@ -536,21 +525,15 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------------------
   // MC join: the MC phase-1 join on the generic pipeline. On the
   // selective-key shape the planner's key seek serves the wide relation;
-  // `enable_galloping_join = false` forces the materialized hash join. Both
-  // run on the raw bundle and on a serve_compressed twin, and the resident
-  // posting footprint is reported per codec. A balanced shape (the mc-seek
-  // workload's kind) is reported too, without a timing gate: there the
-  // planner hash-joins. `--smoke` enforces the acceptance thresholds (key
-  // seek >= 2x on the selective-key shape, compressed resident posting bytes
-  // <= 0.5x raw) so CI fails if either regresses; every run checks from
-  // EXPLAIN that the selective shape seeks and the balanced one hash-joins,
-  // so the timing comparison cannot silently compare a path with itself.
+  // `enable_key_seek = false` forces the materialized hash join. A balanced
+  // shape (the mc-seek workload's kind) is reported too, without a timing
+  // gate: there the planner hash-joins. `--smoke` enforces the key seek's
+  // >= 2x on the selective-key shape so CI fails if it regresses; every run
+  // checks from EXPLAIN that the selective shape seeks and the balanced one
+  // hash-joins, so the timing comparison cannot silently compare a path
+  // with itself.
   // -------------------------------------------------------------------------
   if (!serving_only) {
-    IndexBuildOptions comp_opts;
-    comp_opts.serve_compressed = true;
-    IndexBundle comp_bundle = IndexBuilder(comp_opts).Build(lake);
-
     // Smoke queries are tens of microseconds; average more reps so the
     // threshold gate measures the join path, not timer noise.
     const int mc_reps = smoke ? 30 : 10;
@@ -617,15 +600,14 @@ int main(int argc, char** argv) {
     sql::QueryOptions planner;
     planner.scheduler = Scheduler::Serial();
     sql::QueryOptions materialized = planner;
-    materialized.enable_galloping_join = false;
+    materialized.enable_key_seek = false;
     sql::QueryOptions planner_pool;  // morsel-parallel, shared pool
 
-    sql::Engine raw_engine(g_col_bundle);
-    sql::Engine comp_engine(&comp_bundle);
+    sql::Engine engine(g_col_bundle);
 
     // The planner's choice, from EXPLAIN: a KeySeek node or none.
     auto seeks = [&](const std::string& sql) {
-      auto described = raw_engine.Query("EXPLAIN " + sql, planner);
+      auto described = engine.Query("EXPLAIN " + sql, planner);
       if (!described.ok()) return false;
       for (const sql::PlanNode& node : described.value().plan.nodes) {
         if (node.op == "KeySeek") return true;
@@ -638,34 +620,25 @@ int main(int argc, char** argv) {
     struct Combo {
       const char* shape;
       const std::string* sql;
-      const char* codec;
-      sql::Engine* engine;
       const sql::QueryOptions* opts;
       const char* path;
       const char* threads;
       double* slot;
     };
-    double mat_raw = 0, seek_raw = 0, seek_comp = 0, seek_pool_s = 0;
+    double mat_s = 0, seek_s = 0, seek_pool_s = 0;
     double bal_mat = 0, bal_planner = 0;
     const Combo combos[] = {
-        {"selective", &mc_sql, "raw", &raw_engine, &materialized, "materialized",
-         "1", &mat_raw},
-        {"selective", &mc_sql, "raw", &raw_engine, &planner, "key seek", "1",
-         &seek_raw},
-        {"selective", &mc_sql, "compressed", &comp_engine, &planner, "key seek",
-         "1", &seek_comp},
-        {"selective", &mc_sql, "compressed", &comp_engine, &planner_pool,
-         "key seek", "pool", &seek_pool_s},
-        {"balanced", &bal_sql, "raw", &raw_engine, &materialized, "materialized",
-         "1", &bal_mat},
-        {"balanced", &bal_sql, "raw", &raw_engine, &planner, "planner (hash)",
-         "1", &bal_planner},
+        {"selective", &mc_sql, &materialized, "materialized", "1", &mat_s},
+        {"selective", &mc_sql, &planner, "key seek", "1", &seek_s},
+        {"selective", &mc_sql, &planner_pool, "key seek", "pool", &seek_pool_s},
+        {"balanced", &bal_sql, &materialized, "materialized", "1", &bal_mat},
+        {"balanced", &bal_sql, &planner, "planner (hash)", "1", &bal_planner},
     };
     std::string reference[2];
     bool mc_identical = true;
-    TablePrinter mp({"Shape", "Codec", "Join path", "Threads", "Query", "Speedup"});
+    TablePrinter mp({"Shape", "Join path", "Threads", "Query", "Speedup"});
     for (const Combo& c : combos) {
-      auto res = c.engine->Query(*c.sql, *c.opts);
+      auto res = engine.Query(*c.sql, *c.opts);
       if (!res.ok()) {
         std::fprintf(stderr, "MC query failed: %s\n",
                      res.status().ToString().c_str());
@@ -682,60 +655,43 @@ int main(int argc, char** argv) {
       // microsecond-scale queries on a shared CI runner, and the threshold
       // gate below needs a stable ratio, not a throughput estimate.
       *c.slot = bench::MeasureSeconds(
-          [&] { (void)c.engine->Query(*c.sql, *c.opts); }, mc_reps);
+          [&] { (void)engine.Query(*c.sql, *c.opts); }, mc_reps);
       for (int repeat = 0; repeat < 2; ++repeat) {
         *c.slot = std::min(
             *c.slot, bench::MeasureSeconds(
-                         [&] { (void)c.engine->Query(*c.sql, *c.opts); },
+                         [&] { (void)engine.Query(*c.sql, *c.opts); },
                          mc_reps));
       }
-      const double base = c.sql == &mc_sql ? mat_raw : bal_mat;
-      mp.AddRow({c.shape, c.codec, c.path, c.threads, bench::FmtSeconds(*c.slot),
+      const double base = c.sql == &mc_sql ? mat_s : bal_mat;
+      mp.AddRow({c.shape, c.path, c.threads, bench::FmtSeconds(*c.slot),
                  TablePrinter::Fmt(base / *c.slot, 2) + "x"});
     }
 
-    const size_t raw_posting =
-        ResidentPostingBytes(g_col_bundle->column_store().secondary());
-    const size_t comp_posting =
-        ResidentPostingBytes(comp_bundle.column_store().secondary());
-    const double posting_ratio =
-        raw_posting > 0 ? static_cast<double>(comp_posting) /
-                              static_cast<double>(raw_posting)
-                        : 1.0;
-    const double key_seek_speedup = seek_raw > 0 ? mat_raw / seek_raw : 0.0;
+    const double key_seek_speedup = seek_s > 0 ? mat_s / seek_s : 0.0;
 
     std::printf("\n%s", mp.Render("MC join: planner (key seek / hash join) vs "
                                   "materialized hash join")
                             .c_str());
-    std::printf("MC join results are %s across codecs and join paths.\n",
+    std::printf("MC join results are %s across join paths.\n",
                 mc_identical ? "byte-identical" : "DIVERGENT (BUG)");
     std::printf("Planner choice (EXPLAIN): selective shape %s, balanced shape "
                 "%s.\n",
                 selective_seeks ? "seeks" : "HASH-JOINS (BUG)",
                 balanced_seeks ? "SEEKS (BUG)" : "hash-joins");
-    std::printf("Resident postings: raw %s, compressed %s (%.2fx); "
-                "whole index %s -> %s.\n",
-                bench::FmtBytes(raw_posting).c_str(),
-                bench::FmtBytes(comp_posting).c_str(), posting_ratio,
-                bench::FmtBytes(g_col_bundle->ApproxBytes()).c_str(),
-                bench::FmtBytes(comp_bundle.ApproxBytes()).c_str());
     std::printf(
-        "BENCH_compressed_exec.json {\"bench\":\"compressed_exec\","
+        "BENCH_mc_join.json {\"bench\":\"mc_join\","
         "\"smoke\":%s,\"mc_probe_keys\":%zu,\"mc_wide_keys\":%zu,"
         "\"materialized_seconds\":%.6f,\"key_seek_seconds\":%.6f,"
-        "\"key_seek_compressed_seconds\":%.6f,\"key_seek_pool_seconds\":%.6f,"
+        "\"key_seek_pool_seconds\":%.6f,"
         "\"key_seek_speedup\":%.2f,\"balanced_keys\":%zu,"
         "\"balanced_materialized_seconds\":%.6f,"
         "\"balanced_planner_seconds\":%.6f,"
         "\"selective_seeks\":%s,\"balanced_seeks\":%s,"
-        "\"raw_posting_bytes\":%zu,\"compressed_posting_bytes\":%zu,"
-        "\"posting_ratio\":%.3f,\"raw_index_bytes\":%zu,"
-        "\"compressed_index_bytes\":%zu,\"identical\":%s}\n",
-        smoke ? "true" : "false", probe, wide, mat_raw, seek_raw, seek_comp,
-        seek_pool_s, key_seek_speedup, balanced, bal_mat, bal_planner,
+        "\"index_bytes\":%zu,\"identical\":%s}\n",
+        smoke ? "true" : "false", probe, wide, mat_s, seek_s, seek_pool_s,
+        key_seek_speedup, balanced, bal_mat, bal_planner,
         selective_seeks ? "true" : "false", balanced_seeks ? "true" : "false",
-        raw_posting, comp_posting, posting_ratio, g_col_bundle->ApproxBytes(),
-        comp_bundle.ApproxBytes(), mc_identical ? "true" : "false");
+        g_col_bundle->ApproxBytes(), mc_identical ? "true" : "false");
     identical = identical && mc_identical;
 
     if (!selective_seeks || balanced_seeks) {
@@ -746,21 +702,12 @@ int main(int argc, char** argv) {
                    balanced_seeks ? "seeks" : "hash-joins");
       thresholds_ok = false;
     }
-    if (smoke) {
-      if (key_seek_speedup < 2.0) {
-        std::fprintf(stderr,
-                     "THRESHOLD FAIL: key seek speedup %.2fx < 2x (did the "
-                     "planner stop seeking the MC shape's wide side?)\n",
-                     key_seek_speedup);
-        thresholds_ok = false;
-      }
-      if (posting_ratio > 0.5) {
-        std::fprintf(stderr,
-                     "THRESHOLD FAIL: compressed/raw resident posting bytes "
-                     "%.3f > 0.5\n",
-                     posting_ratio);
-        thresholds_ok = false;
-      }
+    if (smoke && key_seek_speedup < 2.0) {
+      std::fprintf(stderr,
+                   "THRESHOLD FAIL: key seek speedup %.2fx < 2x (did the "
+                   "planner stop seeking the MC shape's wide side?)\n",
+                   key_seek_speedup);
+      thresholds_ok = false;
     }
   }
   return identical && thresholds_ok ? 0 : 1;

@@ -95,12 +95,9 @@ int main(int argc, char** argv) {
 
   TablePrinter tp({"Data lake", "BLEND", "Combination of S.O.T.A.", "ratio"});
   // Extends the paper's comparison with the persistence dimension: what the
-  // unified index costs on disk as a snapshot artifact, per physical layout
-  // and postings codec, next to its in-memory footprint. The postings
-  // columns isolate the section the codec subsystem targets.
-  TablePrinter disk({"Data lake", "Layout", "In-memory", "Disk (raw)",
-                     "Disk (compressed)", "Postings raw", "Postings comp",
-                     "postings ratio"});
+  // unified index costs on disk as a snapshot artifact, per physical layout,
+  // next to its in-memory footprint.
+  TablePrinter disk({"Data lake", "Layout", "In-memory", "Disk"});
   double ratio_sum = 0;
   size_t n = 0;
   for (auto& c : BuildLakes()) {
@@ -110,24 +107,10 @@ int main(int argc, char** argv) {
     IndexBuildOptions row_opts;
     row_opts.layout = StoreLayout::kRow;
     IndexBundle row_bundle = IndexBuilder(row_opts).Build(c.lake);
-    SnapshotOptions raw_opts, comp_opts;
-    comp_opts.codec = PostingCodec::kCompressed;
     for (const IndexBundle* b : {&bundle, &row_bundle}) {
-      const size_t mem = b->ApproxBytes();
-      const size_t disk_raw = SnapshotBytes(*b, raw_opts);
-      const size_t disk_comp = SnapshotBytes(*b, comp_opts);
-      const size_t postings_raw = SnapshotPostingBytes(*b, raw_opts);
-      const size_t postings_comp = SnapshotPostingBytes(*b, comp_opts);
       disk.AddRow({c.name, b->layout() == StoreLayout::kColumn ? "column" : "row",
-                   bench::FmtBytes(mem), bench::FmtBytes(disk_raw),
-                   bench::FmtBytes(disk_comp), bench::FmtBytes(postings_raw),
-                   bench::FmtBytes(postings_comp),
-                   TablePrinter::Fmt(postings_comp > 0
-                                         ? static_cast<double>(postings_raw) /
-                                               static_cast<double>(postings_comp)
-                                         : 0,
-                                     2) +
-                       "x"});
+                   bench::FmtBytes(b->ApproxBytes()),
+                   bench::FmtBytes(SnapshotBytes(*b))});
     }
 
     // DataXFormer inverted index: AllTables without SuperKey and Quadrant
@@ -151,8 +134,8 @@ int main(int argc, char** argv) {
   std::printf("Average: BLEND needs %.0f%% less storage than the combination "
               "(paper: 57%% less).\n",
               (1.0 - ratio_sum / static_cast<double>(n)) * 100.0);
-  std::printf("\n%s", disk.Render("Snapshot artifact size per layout and "
-                                  "postings codec (on-disk vs in-memory)")
+  std::printf("\n%s", disk.Render("Snapshot artifact size per layout "
+                                  "(on-disk vs in-memory)")
                           .c_str());
   return 0;
 }

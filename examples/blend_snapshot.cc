@@ -10,13 +10,7 @@
 // round-trip smoke check.
 //
 // Usage: blend_snapshot [--tables=N] [--layout=row|column]
-//                       [--codec=raw|compressed] [--serve-compressed]
 //                       [--path=FILE] [--stats] [--trace-out=FILE]
-//
-// --serve-compressed builds and serves the in-memory index on the
-// block-compressed postings (Blend::Options::serve_compressed), so the smoke
-// check also pins that a compressed-served bundle snapshots and round-trips
-// byte-identically.
 //
 // --stats replaces the snapshot round-trip with the observability smoke
 // check: it serves a small discovery workload off the built index, samples
@@ -185,8 +179,6 @@ int RunTraceExport(const core::Blend& blend, const DataLake& lake,
 int main(int argc, char** argv) {
   size_t num_tables = 60;
   StoreLayout layout = StoreLayout::kColumn;
-  PostingCodec codec = PostingCodec::kRaw;
-  bool serve_compressed = false;
   bool stats_mode = false;
   std::string path = "blend_index.snapshot";
   std::string trace_out;
@@ -201,22 +193,11 @@ int main(int argc, char** argv) {
       layout = StoreLayout::kRow;
     } else if (std::strcmp(argv[i], "--layout=column") == 0) {
       layout = StoreLayout::kColumn;
-    } else if (std::strncmp(argv[i], "--codec=", 8) == 0) {
-      auto parsed = ParsePostingCodec(argv[i] + 8);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "--codec: %s\n",
-                     parsed.status().message().c_str());
-        return 2;
-      }
-      codec = parsed.value();
-    } else if (std::strcmp(argv[i], "--serve-compressed") == 0) {
-      serve_compressed = true;
     } else if (std::strncmp(argv[i], "--path=", 7) == 0) {
       path = argv[i] + 7;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--tables=N] [--layout=row|column] "
-                   "[--codec=raw|compressed] [--serve-compressed] "
                    "[--path=FILE] [--stats] [--trace-out=FILE]\n",
                    argv[0]);
       return 2;
@@ -233,8 +214,6 @@ int main(int argc, char** argv) {
   // otherwise repeat.
   core::Blend::Options options;
   options.layout = layout;
-  options.snapshot_codec = codec;
-  options.serve_compressed = serve_compressed;
   // Introspection capture for the observability modes; off for the snapshot
   // round-trip so it exercises the plain serving configuration.
   options.capture_statement_plans = stats_mode;
@@ -256,13 +235,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "SaveSnapshot: %s\n", saved.ToString().c_str());
     return 1;
   }
-  SnapshotOptions snap_opts;
-  snap_opts.codec = codec;
-  std::printf("Saved snapshot: %zu bytes (%s postings: %zu bytes) at %s "
-              "(%.1f ms)\n",
-              SnapshotBytes(built.bundle(), snap_opts),
-              PostingCodecName(codec),
-              SnapshotPostingBytes(built.bundle(), snap_opts), path.c_str(),
+  std::printf("Saved snapshot: %zu bytes at %s (%.1f ms)\n",
+              SnapshotBytes(built.bundle()), path.c_str(),
               save_sw.ElapsedSeconds() * 1e3);
 
   // 3. load, both paths: a heap copy and the zero-copy mapping.

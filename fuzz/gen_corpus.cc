@@ -1,23 +1,20 @@
 // Structure-aware seed-corpus generator. Fuzzing from real artifacts reaches
 // the deep validators orders of magnitude faster than from empty seeds, so
 // the checked-in corpora start from genuine WriteSnapshot output (both
-// layouts x both codecs x shuffled), genuine EncodePostingPartition output
-// under the codec harness's framing, and representative SQL / CSV texts.
+// layouts x shuffled) and representative SQL / CSV texts.
 //
 //   blend_gen_corpus <corpus-root>
 //
-// writes <root>/{snapshot,codec,sql,csv}/seed-*. Deterministic: same build,
-// same bytes.
+// writes <root>/{snapshot,sql,csv}/seed-*. Deterministic: same build, same
+// bytes.
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <random>
 #include <string>
 #include <vector>
 
 #include "index/builder.h"
-#include "index/codec.h"
 #include "index/snapshot.h"
 #include "lakegen/join_lake.h"
 
@@ -62,88 +59,22 @@ void GenSnapshotSeeds(const fs::path& dir) {
   int n = 0;
   for (const blend::StoreLayout layout :
        {blend::StoreLayout::kRow, blend::StoreLayout::kColumn}) {
-    for (const blend::PostingCodec codec :
-         {blend::PostingCodec::kRaw, blend::PostingCodec::kCompressed}) {
-      for (const bool shuffle : {false, true}) {
-        blend::IndexBuildOptions opts;
-        opts.layout = layout;
-        opts.shuffle_rows = shuffle;
-        opts.num_threads = 1;
-        const blend::IndexBundle bundle = blend::IndexBuilder(opts).Build(lake);
-        blend::SnapshotOptions sopts;
-        sopts.codec = codec;
-        const blend::Status s = blend::WriteSnapshot(bundle, tmp.string(), sopts);
-        if (!s.ok()) {
-          std::fprintf(stderr, "gen_corpus: WriteSnapshot: %s\n",
-                       s.message().c_str());
-          std::exit(1);
-        }
-        WriteFile(dir / ("seed-" + std::to_string(n++)), Slurp(tmp));
+    for (const bool shuffle : {false, true}) {
+      blend::IndexBuildOptions opts;
+      opts.layout = layout;
+      opts.shuffle_rows = shuffle;
+      opts.num_threads = 1;
+      const blend::IndexBundle bundle = blend::IndexBuilder(opts).Build(lake);
+      const blend::Status s = blend::WriteSnapshot(bundle, tmp.string());
+      if (!s.ok()) {
+        std::fprintf(stderr, "gen_corpus: WriteSnapshot: %s\n",
+                     s.message().c_str());
+        std::exit(1);
       }
+      WriteFile(dir / ("seed-" + std::to_string(n++)), Slurp(tmp));
     }
   }
   fs::remove(tmp);
-}
-
-// --- codec seeds ----------------------------------------------------------
-
-// Mirrors the framing in codec_fuzz.cc: num_lists-1, limit selector, u16
-// counts, then the encoded partition.
-std::vector<uint8_t> FramePartition(
-    const std::vector<std::vector<blend::PostingValue>>& lists) {
-  std::vector<uint64_t> offsets{0};
-  std::vector<blend::PostingValue> positions;
-  for (const auto& l : lists) {
-    positions.insert(positions.end(), l.begin(), l.end());
-    offsets.push_back(positions.size());
-  }
-  std::vector<uint8_t> out;
-  out.push_back(static_cast<uint8_t>(lists.size() - 1));
-  out.push_back(15);  // limit = 16 << 16 = 1048576, above every value below
-  for (const auto& l : lists) {
-    const auto c = static_cast<uint16_t>(l.size());
-    out.push_back(static_cast<uint8_t>(c & 0xFF));
-    out.push_back(static_cast<uint8_t>(c >> 8));
-  }
-  blend::EncodePostingPartition(offsets, positions, &out);
-  return out;
-}
-
-void GenCodecSeeds(const fs::path& dir) {
-  using List = std::vector<blend::PostingValue>;
-  std::mt19937 rng(1234);
-
-  // Singletons: the long-tail case, one varint per list.
-  std::vector<List> singles;
-  for (uint32_t i = 0; i < 64; ++i) singles.push_back({i * 37 + 5});
-  WriteFile(dir / "seed-singles", FramePartition(singles));
-
-  // A dense run, a bitmap-shaped cluster and a sparse packed list.
-  List run;
-  for (uint32_t v = 1000; v < 1000 + 400; ++v) run.push_back(v);
-  List cluster;
-  for (uint32_t v = 0; v < 4096; ++v) {
-    if (rng() % 3 != 0) cluster.push_back(v);
-  }
-  List sparse;
-  for (uint32_t v = 0, step = 1; sparse.size() < 300; ++v) {
-    step = 1 + rng() % 5000;
-    v += step;
-    sparse.push_back(v);
-  }
-  WriteFile(dir / "seed-mixed",
-            FramePartition({run, {}, cluster, {}, sparse, {42}}));
-
-  // A multi-block list exercising the skip table (>= 9 blocks).
-  List longlist;
-  for (uint32_t v = 0; longlist.size() < 1200; v += 1 + rng() % 40) {
-    longlist.push_back(v);
-  }
-  WriteFile(dir / "seed-long", FramePartition({longlist}));
-
-  // An empty partition: 64 empty lists encode to zero bytes.
-  WriteFile(dir / "seed-empty",
-            FramePartition(std::vector<List>(64, List{})));
 }
 
 // --- sql / csv seeds ------------------------------------------------------
@@ -195,11 +126,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   const fs::path root = argv[1];
-  for (const char* sub : {"snapshot", "codec", "sql", "csv"}) {
+  for (const char* sub : {"snapshot", "sql", "csv"}) {
     fs::create_directories(root / sub);
   }
   GenSnapshotSeeds(root / "snapshot");
-  GenCodecSeeds(root / "codec");
   GenSqlSeeds(root / "sql");
   GenCsvSeeds(root / "csv");
   std::printf("corpus written under %s\n", root.string().c_str());

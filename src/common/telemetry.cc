@@ -31,11 +31,6 @@ uint32_t TrackId() {
   return id;
 }
 
-HotPathCounters& ThreadHotPathCounters() {
-  thread_local HotPathCounters counters;
-  return counters;
-}
-
 }  // namespace telemetry_internal
 
 namespace {
@@ -672,24 +667,6 @@ Status ValidateChromeTraceJson(const std::string& text) {
     }
   }
   return Status::OK();
-}
-
-void NotePostingBlockDecoded() {
-  if constexpr (!kTelemetryEnabled) return;
-  telemetry_internal::ThreadHotPathCounters().posting_blocks_decoded += 1;
-  static Counter* counter = MetricsRegistry::Global().GetCounter(
-      "blend_posting_blocks_decoded_total",
-      "Compressed posting blocks decoded by cursors.");
-  counter->Increment();
-}
-
-void NoteGallopSeek() {
-  if constexpr (!kTelemetryEnabled) return;
-  telemetry_internal::ThreadHotPathCounters().gallop_seeks += 1;
-  static Counter* counter = MetricsRegistry::Global().GetCounter(
-      "blend_gallop_seeks_total",
-      "SeekAtLeast operations issued by the galloping intersection.");
-  counter->Increment();
 }
 
 }  // namespace blend

@@ -66,18 +66,6 @@ struct alignas(64) MetricCell {
   std::atomic<int64_t> v{0};
 };
 
-/// Per-thread event tallies bumped by the posting codec. The codec layer
-/// cannot depend on query traces (it has no query context), so it bumps
-/// these thread-locals and TraceSpan folds the deltas into the active trace
-/// at morsel-task granularity — each morsel task runs entirely on one
-/// thread, so the delta is exactly that task's work.
-struct HotPathCounters {
-  int64_t posting_blocks_decoded = 0;
-  int64_t gallop_seeks = 0;
-};
-
-HotPathCounters& ThreadHotPathCounters();
-
 }  // namespace telemetry_internal
 
 /// Monotonic counter. Add() is wait-free: one relaxed fetch_add on the
@@ -269,8 +257,8 @@ enum class TraceStage : uint8_t {
   kJoinBuild,
   kJoinProbe,
   kKeySeek,
-  // No executor operator records the two gallop stages since the MC join
-  // runs on the generic pipeline; trace readers (perfbench) still name them.
+  // Never recorded: these two stages stay only because the perfbench harness
+  // reports them, and they read 0.
   kGallopIntersect,
   kGallopEmit,
   kFusedScan,
@@ -314,6 +302,8 @@ constexpr const char* TraceStageName(TraceStage s) {
 /// Event tallies a trace carries alongside stage timings.
 enum class TraceCounter : uint8_t {
   kEngineQueries,
+  // Never recorded: these two counters stay only because the perfbench
+  // harness reports them, and they read 0.
   kPostingBlocksDecoded,
   kGallopSeeks,
   kMcCandidateRows,
@@ -438,9 +428,7 @@ class QueryTrace {
   std::unique_ptr<SpanCapture> capture_;
 };
 
-/// RAII span: attributes its lifetime (and the thread's hot-path counter
-/// deltas — posting blocks decoded, gallop seeks) to one stage of a trace.
-/// Used at morsel-task granularity inside the executor and for coarse
+/// RAII span: attributes its lifetime to one stage of a trace. Used at morsel-task granularity inside the executor and for coarse
 /// single-thread stages (optimize, plan step, seeker). Inert — not even a
 /// clock read — when `trace` is null or telemetry is compiled out.
 class TraceSpan {
@@ -448,22 +436,16 @@ class TraceSpan {
   TraceSpan(QueryTrace* trace, TraceStage stage) : trace_(trace), stage_(stage) {
     if constexpr (!kTelemetryEnabled) return;
     if (trace_ == nullptr) return;
-    hot_ = telemetry_internal::ThreadHotPathCounters();
     start_ = std::chrono::steady_clock::now();
   }
   ~TraceSpan() {
     if constexpr (!kTelemetryEnabled) return;
     if (trace_ == nullptr) return;
     const auto end = std::chrono::steady_clock::now();
-    const auto& hot = telemetry_internal::ThreadHotPathCounters();
     trace_->AddStage(
         stage_,
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_).count(),
         1);
-    trace_->AddCounter(TraceCounter::kPostingBlocksDecoded,
-                       hot.posting_blocks_decoded - hot_.posting_blocks_decoded);
-    trace_->AddCounter(TraceCounter::kGallopSeeks,
-                       hot.gallop_seeks - hot_.gallop_seeks);
     if (trace_->capturing_spans()) trace_->CaptureSpan(stage_, start_, end);
   }
   TraceSpan(const TraceSpan&) = delete;
@@ -473,7 +455,6 @@ class TraceSpan {
   QueryTrace* trace_;
   TraceStage stage_;
   std::chrono::steady_clock::time_point start_{};
-  telemetry_internal::HotPathCounters hot_{};
 };
 
 /// Measures scheduler dispatch latency for one parallel stage: created
@@ -531,13 +512,6 @@ class LatencyTimer {
   Histogram* hist_;
   std::chrono::steady_clock::time_point start_{};
 };
-
-/// Posting-codec event hooks (called from index/codec on block decode and
-/// gallop seek). They bump the thread-local tallies TraceSpan attributes to
-/// morsel tasks and the process-wide registry counters. Defined out of line
-/// so the codec header stays free of registry plumbing.
-void NotePostingBlockDecoded();
-void NoteGallopSeek();
 
 /// Renders captured spans as a Chrome trace-event JSON document (the format
 /// Perfetto and chrome://tracing load): one "X" complete event per span with

@@ -16,7 +16,6 @@ IndexBuildOptions BuildOptionsFor(const Blend::Options& options) {
   build.layout = options.layout;
   build.shuffle_rows = options.shuffle_rows;
   build.shuffle_seed = options.shuffle_seed;
-  build.serve_compressed = options.serve_compressed;
   return build;
 }
 
@@ -86,13 +85,12 @@ Blend::Blend(const DataLake* lake, Options options, IndexBundle bundle)
   ctx_.stats = &stats_;
   ctx_.query_options.scheduler = scheduler_;
   ctx_.query_options.enable_fused_scan_agg = options.enable_fused_scan_agg;
-  ctx_.query_options.enable_galloping_join = options.enable_galloping_join;
+  ctx_.query_options.enable_key_seek = options.enable_key_seek;
 }
 
 Status Blend::SaveSnapshot(const std::string& path) const {
   SnapshotOptions opts;
   opts.scheduler = scheduler_;
-  opts.codec = options_.snapshot_codec;
   return WriteSnapshot(bundle_, path, opts);
 }
 

@@ -52,20 +52,9 @@ class Blend {
     /// pipeline.
     bool enable_fused_scan_agg = true;
     /// Planner override for the key-seek join step
-    /// (sql::QueryOptions::enable_galloping_join); `false` forces the
+    /// (sql::QueryOptions::enable_key_seek); `false` forces the
     /// materialized hash join so ablations can compare the two.
-    bool enable_galloping_join = true;
-    /// Postings codec SaveSnapshot writes (index/codec.h): kCompressed
-    /// shrinks the artifact's dominant section via block containers at the
-    /// cost of per-block decode on the serving path. Loading discovers the
-    /// codec from the snapshot header, so this only affects writes.
-    PostingCodec snapshot_codec = PostingCodec::kRaw;
-    /// In-memory compressed serving: the builder transcodes postings to the
-    /// compressed codec and the engine serves the encoded blob directly
-    /// (~2.4× smaller resident postings on the bench lake, byte-identical
-    /// results). Build path only — snapshots record their own codec, so
-    /// OpenSnapshot ignores this.
-    bool serve_compressed = false;
+    bool enable_key_seek = true;
     /// Structured event log: when set, every RunReport records one JSON-lines
     /// QueryEvent (plan fingerprint, outcome Status code, per-stage nanos,
     /// control trips, peak memory charge) into this log. Not owned; the log

@@ -36,20 +36,8 @@ void SecondaryIndexes::Build(std::span<const IndexRecord> records,
   table_ranges.Own(std::move(ranges));
 }
 
-void SecondaryIndexes::Compress(Scheduler* sched) {
-  if (codec == PostingCodec::kCompressed) return;
-  EncodedPostingsCsr enc = EncodePostingsCsr(posting_offsets.span(),
-                                             posting_positions.span(), sched);
-  posting_partitions.Own(std::move(enc.partition_offsets));
-  posting_blob.Own(std::move(enc.blob));
-  posting_positions.Own(std::vector<RecordPos>{});  // raw form freed
-  codec = PostingCodec::kCompressed;
-}
-
 size_t SecondaryIndexes::ApproxBytes() const {
-  return (posting_offsets.size() + posting_partitions.size()) *
-             sizeof(uint64_t) +
-         posting_blob.size() +
+  return posting_offsets.size() * sizeof(uint64_t) +
          (posting_positions.size() + table_ranges.size() +
           quadrant_positions.size()) *
              sizeof(RecordPos);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/array_ref.h"
-#include "index/codec.h"
 #include "storage/data_lake.h"
 #include "storage/dictionary.h"
 
@@ -34,31 +33,27 @@ struct IndexRecord {
 /// Physical position of a record within a store.
 using RecordPos = uint32_t;
 
+/// An array that is always empty and cannot be written (see
+/// SecondaryIndexes::posting_partitions).
+struct EmptyArray {
+  static constexpr size_t size() { return 0; }
+};
+
 /// Secondary structures both physical layouts share: the in-database hash
 /// index on CellValue (postings of physical positions, stored as one
 /// flattened CSR so a snapshot can serve the whole index from two fixed-width
 /// arrays) and the clustered index on TableId (contiguous [begin, end) pairs
 /// flattened the same way, since records are emitted table-ordered).
-///
-/// Postings live behind the codec seam (index/codec.h): `codec` selects raw
-/// positions (builder output, v1 snapshots) or block-compressed containers
-/// (compressed v2 snapshots, where the blob is served zero-copy out of the
-/// mapping). Consumers read lists through `PostingList` + `PostingCursor`
-/// and never see the difference.
 struct SecondaryIndexes {
   /// CSR offsets: cell id's postings are positions
   /// [posting_offsets[id], posting_offsets[id + 1]). Size num_cells + 1.
-  /// Logical element offsets in both codec modes — they carry every list's
-  /// length, which the compressed encoding does not repeat.
   PodArray<uint64_t> posting_offsets;
-  /// Raw codec: all posting lists back to back, each ascending.
+  /// All posting lists back to back, each ascending.
   PodArray<RecordPos> posting_positions;
-  /// Compressed codec: byte offsets into `posting_blob` per partition of
-  /// kPostingPartitionCells cell ids (ceil(num_cells / K) + 1 entries) and
-  /// the concatenated encoded partitions.
-  PodArray<uint64_t> posting_partitions;
-  PodArray<uint8_t> posting_blob;
-  PostingCodec codec = PostingCodec::kRaw;
+  /// Always empty: the names stay only because the perfbench harness
+  /// reports them, and they read 0.
+  static constexpr EmptyArray posting_partitions{};
+  static constexpr EmptyArray posting_blob{};
   /// table_ranges[2 * t] / [2 * t + 1] = the [begin, end) physical range of
   /// table t.
   PodArray<RecordPos> table_ranges;
@@ -70,36 +65,20 @@ struct SecondaryIndexes {
   void Build(std::span<const IndexRecord> records, size_t num_cells,
              size_t num_tables);
 
-  /// In-place transcode to the compressed codec (in-memory compressed
-  /// serving): encodes the raw CSR into `posting_blob` + partition offsets
-  /// and drops `posting_positions`, shrinking the resident postings ~2.4× on
-  /// the bench lake. The encoded bytes are a pure function of the lists, so
-  /// the result is identical for every pool size. No-op when already
-  /// compressed.
-  void Compress(Scheduler* sched);
-
-  /// List length alone, straight from the CSR offsets — O(1) in both codec
-  /// modes (PostingList on a compressed index walks partition headers).
+  /// List length alone, straight from the CSR offsets.
   size_t PostingCount(CellId id) const {
     const size_t i = static_cast<size_t>(id);
     if (i + 1 >= posting_offsets.size()) return 0;
     return static_cast<size_t>(posting_offsets[i + 1] - posting_offsets[i]);
   }
 
-  PostingListRef PostingList(CellId id) const {
+  /// Ascending record positions of cell `id`; empty for an id outside the
+  /// dictionary.
+  std::span<const RecordPos> PostingList(CellId id) const {
     const size_t i = static_cast<size_t>(id);
     if (i + 1 >= posting_offsets.size()) return {};
-    if (codec == PostingCodec::kRaw) {
-      return PostingListRef::Raw(
-          {posting_positions.data() + posting_offsets[i],
-           static_cast<size_t>(posting_offsets[i + 1] - posting_offsets[i])});
-    }
-    const size_t begin = i - i % kPostingPartitionCells;
-    const size_t lists = std::min(kPostingPartitionCells,
-                                  posting_offsets.size() - 1 - begin);
-    return FindPostingList(
-        posting_blob.data() + posting_partitions[i / kPostingPartitionCells],
-        posting_offsets.span().subspan(begin, lists + 1), i - begin);
+    return {posting_positions.data() + posting_offsets[i],
+            static_cast<size_t>(posting_offsets[i + 1] - posting_offsets[i])};
   }
   /// Empty range for any id outside the indexed lake: callers combine ids
   /// from user input, and a bad table id must read as "no records", not out
@@ -129,7 +108,7 @@ class RowStore {
   uint64_t super_key(RecordPos i) const { return records_[i].super_key; }
   int8_t quadrant(RecordPos i) const { return records_[i].quadrant; }
 
-  PostingListRef PostingList(CellId id) const {
+  std::span<const RecordPos> PostingList(CellId id) const {
     return secondary_.PostingList(id);
   }
   size_t PostingCount(CellId id) const { return secondary_.PostingCount(id); }
@@ -144,9 +123,6 @@ class RowStore {
   /// MeanRecordsPerRow); computed once when the store is built or loaded.
   uint32_t RecordsPerRow() const { return records_per_row_; }
   const SecondaryIndexes& secondary() const { return secondary_; }
-  /// Transcodes the postings to the compressed codec in place (serve
-  /// compressed). Build-time only: stores are immutable once served.
-  void CompressPostings(Scheduler* sched) { secondary_.Compress(sched); }
 
   size_t ApproxBytes() const {
     return records_.size() * sizeof(IndexRecord) + secondary_.ApproxBytes();
@@ -176,7 +152,7 @@ class ColumnStore {
   uint64_t super_key(RecordPos i) const { return super_keys_[i]; }
   int8_t quadrant(RecordPos i) const { return quadrants_[i]; }
 
-  PostingListRef PostingList(CellId id) const {
+  std::span<const RecordPos> PostingList(CellId id) const {
     return secondary_.PostingList(id);
   }
   size_t PostingCount(CellId id) const { return secondary_.PostingCount(id); }
@@ -191,9 +167,6 @@ class ColumnStore {
   /// MeanRecordsPerRow); computed once when the store is built or loaded.
   uint32_t RecordsPerRow() const { return records_per_row_; }
   const SecondaryIndexes& secondary() const { return secondary_; }
-  /// Transcodes the postings to the compressed codec in place (serve
-  /// compressed). Build-time only: stores are immutable once served.
-  void CompressPostings(Scheduler* sched) { secondary_.Compress(sched); }
 
   size_t ApproxBytes() const {
     return cells_.size() * (sizeof(CellId) + sizeof(TableId) + 2 * sizeof(int32_t) +

@@ -189,15 +189,6 @@ IndexBundle IndexBuilder::Build(const DataLake& lake) const {
   } else {
     bundle.column_store_.Build(std::move(records), num_cells, lake.NumTables());
   }
-  if (options_.serve_compressed) {
-    // Encoded bytes are a pure function of the lists, so the transcode is
-    // byte-identical for every pool size.
-    if (options_.layout == StoreLayout::kRow) {
-      bundle.row_store_.CompressPostings(Scheduler::Default());
-    } else {
-      bundle.column_store_.CompressPostings(Scheduler::Default());
-    }
-  }
   return bundle;
 }
 

@@ -29,12 +29,6 @@ struct IndexBuildOptions {
   /// table ranges and a deterministic merge reproduces the serial
   /// DictId/RowId assignment.
   int num_threads = 0;
-  /// In-memory compressed serving: after the store is built, transcode its
-  /// postings to the block-compressed codec and serve queries straight off
-  /// the encoded form (every access path reads through the
-  /// PostingListRef/PostingCursor seam, so results are byte-identical).
-  /// Shrinks the resident posting footprint ~2.4× on the bench lake.
-  bool serve_compressed = false;
 };
 
 /// The built unified index: dictionary + one physical store + the per-table

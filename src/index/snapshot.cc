@@ -25,11 +25,8 @@ namespace {
 
 constexpr char kMagic[8] = {'B', 'L', 'E', 'N', 'D', 'S', 'N', 'P'};
 constexpr uint32_t kEndianMarker = 0x01020304u;
+/// The only header flag: the file carries the shuffled build's row maps.
 constexpr uint32_t kFlagRowMaps = 1u << 0;
-/// Bits 8..15 of the header flags: the PostingCodec id of the postings
-/// payload (v2). Zero in v1 files, which predate the codec subsystem.
-constexpr uint32_t kFlagCodecShift = 8;
-constexpr uint32_t kFlagCodecMask = 0xFFu;
 constexpr size_t kAlign = 8;
 /// Sanity cap long before any real format revision gets close: a corrupt
 /// count must not drive a huge allocation or scan.
@@ -56,8 +53,6 @@ enum SectionId : uint32_t {
   kSecRowMapOffsets = 14,  // shuffled builds only
   kSecRowMapValues = 15,
   kSecDictHash = 16,
-  kSecPostingPartitions = 17,  // compressed codec only
-  kSecPostingBlob = 18,
 };
 
 const char* SectionName(uint32_t id) {
@@ -78,8 +73,6 @@ const char* SectionName(uint32_t id) {
     case kSecRowMapOffsets: return "RowMapOffsets";
     case kSecRowMapValues: return "RowMapValues";
     case kSecDictHash: return "DictHash";
-    case kSecPostingPartitions: return "PostingPartitions";
-    case kSecPostingBlob: return "PostingBlob";
     default: return "Unknown";
   }
 }
@@ -452,19 +445,17 @@ Result<std::shared_ptr<SnapshotStorage>> SnapshotStorage::MapFile(
 class SnapshotCodec {
  public:
   static Status Write(const IndexBundle& bundle, const std::string& path,
-                      PostingCodec codec, Scheduler* sched);
+                      Scheduler* sched);
   static Result<IndexBundle> Load(std::shared_ptr<SnapshotStorage> storage,
                                   bool zero_copy, Scheduler* sched);
-  static size_t FileBytes(const IndexBundle& bundle, PostingCodec codec);
-  static size_t PostingBytes(const IndexBundle& bundle, PostingCodec codec);
+  static size_t FileBytes(const IndexBundle& bundle);
 
  private:
   struct Gathered {
     std::vector<SectionSpec> specs;
     uint32_t flags = 0;
   };
-  static Gathered Gather(const IndexBundle& bundle, PostingCodec codec,
-                         Scheduler* sched);
+  static Gathered Gather(const IndexBundle& bundle);
   static size_t LayoutFile(const Gathered& g, std::vector<SectionEntry>* entries);
   static const SecondaryIndexes& Secondary(const IndexBundle& bundle) {
     return bundle.layout_ == StoreLayout::kRow ? bundle.row_store_.secondary_
@@ -472,11 +463,8 @@ class SnapshotCodec {
   }
 };
 
-SnapshotCodec::Gathered SnapshotCodec::Gather(const IndexBundle& bundle,
-                                              PostingCodec codec,
-                                              Scheduler* sched) {
+SnapshotCodec::Gathered SnapshotCodec::Gather(const IndexBundle& bundle) {
   Gathered g;
-  g.flags |= (static_cast<uint32_t>(codec) & kFlagCodecMask) << kFlagCodecShift;
   auto& specs = g.specs;
 
   // Dictionary: its own three arrays, CSR offsets over a concatenated value
@@ -522,35 +510,7 @@ SnapshotCodec::Gathered SnapshotCodec::Gather(const IndexBundle& bundle,
   }
 
   specs.emplace_back().View(kSecPostingOffsets, secondary->posting_offsets);
-  // The postings payload under the requested codec. When the bundle already
-  // stores that codec the arrays are windowed directly (zero staging);
-  // otherwise the writer transcodes — per-list block encode/decode as
-  // chunked task groups on the shared scheduler, output independent of the
-  // pool size because every list's bytes are a pure function of its values.
-  if (codec == PostingCodec::kRaw) {
-    if (secondary->codec == PostingCodec::kRaw) {
-      specs.emplace_back().View(kSecPostingPositions, secondary->posting_positions);
-    } else {
-      specs.emplace_back().Stage(
-          kSecPostingPositions,
-          StagePod(DecodePostingsCsr(secondary->posting_offsets.span(),
-                                     secondary->posting_partitions.span(),
-                                     secondary->posting_blob.data(), sched)));
-    }
-  } else {
-    if (secondary->codec == PostingCodec::kCompressed) {
-      specs.emplace_back().View(kSecPostingPartitions,
-                                secondary->posting_partitions);
-      specs.emplace_back().View(kSecPostingBlob, secondary->posting_blob);
-    } else {
-      EncodedPostingsCsr encoded =
-          EncodePostingsCsr(secondary->posting_offsets.span(),
-                            secondary->posting_positions.span(), sched);
-      specs.emplace_back().Stage(kSecPostingPartitions,
-                                 StagePod(encoded.partition_offsets));
-      specs.emplace_back().Stage(kSecPostingBlob, std::move(encoded.blob));
-    }
-  }
+  specs.emplace_back().View(kSecPostingPositions, secondary->posting_positions);
   specs.emplace_back().View(kSecTableRanges, secondary->table_ranges);
   specs.emplace_back().View(kSecQuadrantPositions, secondary->quadrant_positions);
 
@@ -588,53 +548,7 @@ size_t SnapshotCodec::LayoutFile(const Gathered& g,
   return off;
 }
 
-namespace {
-
-/// Byte sizes of the postings payload sections under `codec`, without
-/// materializing them: one entry (positions) for raw, two (blob offsets,
-/// blob) for compressed. Transcoding is mirrored: a raw bundle's compressed
-/// size sums the per-list encodings, a compressed bundle's raw size is the
-/// decoded element count.
-std::vector<size_t> PostingSectionSizes(const SecondaryIndexes& secondary,
-                                        PostingCodec codec) {
-  const size_t num_lists =
-      secondary.posting_offsets.empty() ? 0 : secondary.posting_offsets.size() - 1;
-  const size_t total_positions =
-      num_lists == 0 ? 0
-                     : static_cast<size_t>(secondary.posting_offsets[num_lists]);
-  if (codec == PostingCodec::kRaw) {
-    return {total_positions * sizeof(RecordPos)};
-  }
-  if (secondary.codec == PostingCodec::kCompressed) {
-    return {secondary.posting_partitions.size() * sizeof(uint64_t),
-            secondary.posting_blob.size()};
-  }
-  const size_t parts =
-      (num_lists + kPostingPartitionCells - 1) / kPostingPartitionCells;
-  size_t blob = 0;
-  for (size_t p = 0; p < parts; ++p) {
-    const size_t begin = p * kPostingPartitionCells;
-    const size_t lists = std::min(kPostingPartitionCells, num_lists - begin);
-    const auto offsets =
-        secondary.posting_offsets.span().subspan(begin, lists + 1);
-    blob += EncodedPostingPartitionBytes(
-        offsets, secondary.posting_positions.span().subspan(
-                     static_cast<size_t>(offsets.front()),
-                     static_cast<size_t>(offsets.back() - offsets.front())));
-  }
-  return {(parts + 1) * sizeof(uint64_t), blob};
-}
-
-}  // namespace
-
-size_t SnapshotCodec::PostingBytes(const IndexBundle& bundle,
-                                   PostingCodec codec) {
-  size_t total = 0;
-  for (size_t s : PostingSectionSizes(Secondary(bundle), codec)) total += s;
-  return total;
-}
-
-size_t SnapshotCodec::FileBytes(const IndexBundle& bundle, PostingCodec codec) {
+size_t SnapshotCodec::FileBytes(const IndexBundle& bundle) {
   // Mirrors Gather's section list without materializing any payload (the
   // SnapshotBytesMatchesFileSize test pins this to the real writer).
   const Dictionary& dict = bundle.dict_;
@@ -650,10 +564,10 @@ size_t SnapshotCodec::FileBytes(const IndexBundle& bundle, PostingCodec codec) {
                   n * sizeof(int32_t), n * sizeof(uint64_t), n * sizeof(int8_t)});
   }
   const SecondaryIndexes& secondary = Secondary(bundle);
-  sizes.push_back(secondary.posting_offsets.size() * sizeof(uint64_t));
-  for (size_t s : PostingSectionSizes(secondary, codec)) sizes.push_back(s);
   sizes.insert(sizes.end(),
-               {secondary.table_ranges.size() * sizeof(RecordPos),
+               {secondary.posting_offsets.size() * sizeof(uint64_t),
+                secondary.posting_positions.size() * sizeof(RecordPos),
+                secondary.table_ranges.size() * sizeof(RecordPos),
                 secondary.quadrant_positions.size() * sizeof(RecordPos)});
   if (!bundle.row_maps_.empty()) {
     size_t rows = 0;
@@ -668,8 +582,8 @@ size_t SnapshotCodec::FileBytes(const IndexBundle& bundle, PostingCodec codec) {
 }
 
 Status SnapshotCodec::Write(const IndexBundle& bundle, const std::string& path,
-                            PostingCodec codec, Scheduler* sched) {
-  Gathered g = Gather(bundle, codec, sched);
+                            Scheduler* sched) {
+  Gathered g = Gather(bundle);
   std::vector<SectionEntry> entries;
   LayoutFile(g, &entries);
 
@@ -812,20 +726,14 @@ Status ParseSnapshot(const SnapshotStorage& storage, Scheduler* sched,
     return Corrupt("endianness mismatch (snapshot written on a foreign-endian "
                    "machine)");
   }
-  if (header.version == 0 || header.version > kSnapshotVersion) {
+  if (header.version != kSnapshotVersion) {
     return Corrupt("format version " + std::to_string(header.version) +
-                   " is not supported (this build reads up to version " +
+                   " is not supported (this build reads only version " +
                    std::to_string(kSnapshotVersion) + ")");
   }
-  const uint32_t codec_bits = (header.flags >> kFlagCodecShift) & kFlagCodecMask;
-  if (codec_bits > static_cast<uint32_t>(PostingCodec::kCompressed)) {
-    return Corrupt("unknown postings codec " + std::to_string(codec_bits));
-  }
-  // The codec flag bits arrived with v2; a v1 header carrying them is a
-  // forgery (e.g. a version field rewritten over a v2 payload).
-  if (header.version < 2 && codec_bits != 0) {
-    return Corrupt("version 1 header carries postings codec flags (forged "
-                   "header over a v2 payload?)");
+  if ((header.flags & ~kFlagRowMaps) != 0) {
+    return Corrupt("unknown header flags " + std::to_string(header.flags) +
+                   " (only bit 0, row maps, is defined)");
   }
   if (ChecksumSerial(base, offsetof(FileHeader, header_checksum)) !=
       header.header_checksum) {
@@ -1086,99 +994,34 @@ Result<IndexBundle> SnapshotCodec::Load(std::shared_ptr<SnapshotStorage> storage
     secondary = &bundle.column_store_.secondary_;
   }
 
-  // Secondary indexes: CSR postings (raw positions or the compressed blob,
-  // per the header's codec bits), clustered table ranges, quadrant partial
-  // index. All positions must stay inside [0, n).
+  // Secondary indexes: CSR postings, clustered table ranges, quadrant
+  // partial index. All positions must stay inside [0, n).
   {
-    const auto codec = static_cast<PostingCodec>(
-        (header.flags >> kFlagCodecShift) & kFlagCodecMask);
     BLEND_ASSIGN_OR_RETURN(auto offsets, (SectionArray<uint64_t>(
                                              st, parsed, kSecPostingOffsets,
                                              num_cells + 1)));
     BLEND_RETURN_NOT_OK(ValidateCsr(offsets, n, "postings"));
-    if (codec == PostingCodec::kRaw) {
-      if (parsed.Has(kSecPostingPartitions) || parsed.Has(kSecPostingBlob)) {
-        return Corrupt("posting blob sections present but the header declares "
-                       "the raw codec");
-      }
-      BLEND_ASSIGN_OR_RETURN(auto positions, (SectionArray<RecordPos>(
-                                                 st, parsed,
-                                                 kSecPostingPositions, n)));
-      if (!ParallelAllOf(positions.size(), sched,
-                         [&](size_t i) { return positions[i] < n; })) {
-        return Corrupt("posting position outside the record range");
-      }
-      // Like the compressed validator, each list must be strictly ascending:
-      // the intersection / seek / fused-count paths all assume it, so a
-      // tampered raw section that kept every value in range would otherwise
-      // load "successfully" into an index that answers queries wrong.
-      // (Found by fuzzing: see fuzz/corpus/snapshot/crash-raw-nonascending.)
-      if (!ParallelAllOf(num_cells, sched, [&](size_t i) {
-            for (uint64_t j = offsets[i] + 1; j < offsets[i + 1]; ++j) {
-              if (positions[j - 1] >= positions[j]) return false;
-            }
-            return true;
-          })) {
-        return Corrupt("posting list not strictly ascending");
-      }
-      FillArray(&secondary->posting_positions, positions, zero_copy);
-    } else {
-      if (parsed.Has(kSecPostingPositions)) {
-        return Corrupt("raw postings section present but the header declares "
-                       "the compressed codec");
-      }
-      const uint64_t parts = (num_cells + kPostingPartitionCells - 1) /
-                             kPostingPartitionCells;
-      BLEND_ASSIGN_OR_RETURN(auto partitions,
-                             (SectionArray<uint64_t>(st, parsed,
-                                                     kSecPostingPartitions,
-                                                     parts + 1)));
-      const uint64_t blob_size =
-          parsed.Has(kSecPostingBlob) ? parsed.SectionSize(kSecPostingBlob) : 0;
-      BLEND_RETURN_NOT_OK(
-          ValidateCsr(partitions, blob_size, "posting partition"));
-      BLEND_ASSIGN_OR_RETURN(auto blob, (SectionArray<uint8_t>(
-                                            st, parsed, kSecPostingBlob,
-                                            blob_size)));
-      // Every encoded partition is walked list by list and block by block
-      // before anything serves it: truncation at block boundaries, forged
-      // varints/tags/widths/skip tables and out-of-range or non-ascending
-      // positions all surface here as a descriptive error, never as UB on
-      // the (check-free) query path. Chunked like the other O(n) scans; the
-      // lowest failing partition's error is reported so the message is
-      // deterministic.
-      {
-        constexpr size_t kChunkParts = 16;
-        const size_t chunks =
-            (static_cast<size_t>(parts) + kChunkParts - 1) / kChunkParts;
-        std::vector<Status> chunk_err(chunks, Status::OK());
-        sched->ParallelFor(chunks, [&](size_t c) {
-          const size_t end = std::min<size_t>(parts, (c + 1) * kChunkParts);
-          for (size_t p = c * kChunkParts; p < end; ++p) {
-            const size_t begin = p * kPostingPartitionCells;
-            const size_t lists = std::min<size_t>(kPostingPartitionCells,
-                                                  num_cells - begin);
-            Status part_ok = ValidatePostingPartition(
-                blob.data() + partitions[p],
-                static_cast<size_t>(partitions[p + 1] - partitions[p]),
-                offsets.subspan(begin, lists + 1), n);
-            if (!part_ok.ok()) {
-              chunk_err[c] = Status::InvalidArgument(
-                  "invalid snapshot: postings partition " + std::to_string(p) +
-                  " (cells " + std::to_string(begin) + "..): " +
-                  part_ok.message());
-              return;
-            }
-          }
-        });
-        for (const Status& s : chunk_err) {
-          if (!s.ok()) return s;
-        }
-      }
-      FillArray(&secondary->posting_partitions, partitions, zero_copy);
-      FillArray(&secondary->posting_blob, blob, zero_copy);
-      secondary->codec = PostingCodec::kCompressed;
+    BLEND_ASSIGN_OR_RETURN(auto positions, (SectionArray<RecordPos>(
+                                               st, parsed,
+                                               kSecPostingPositions, n)));
+    if (!ParallelAllOf(positions.size(), sched,
+                       [&](size_t i) { return positions[i] < n; })) {
+      return Corrupt("posting position outside the record range");
     }
+    // Each list must be strictly ascending: the seek and fused-count paths
+    // assume it, so a tampered section that kept every value in range would
+    // otherwise load "successfully" into an index that answers queries
+    // wrong. (Found by fuzzing: see
+    // fuzz/corpus/snapshot/crash-raw-nonascending.)
+    if (!ParallelAllOf(num_cells, sched, [&](size_t i) {
+          for (uint64_t j = offsets[i] + 1; j < offsets[i + 1]; ++j) {
+            if (positions[j - 1] >= positions[j]) return false;
+          }
+          return true;
+        })) {
+      return Corrupt("posting list not strictly ascending");
+    }
+    FillArray(&secondary->posting_positions, positions, zero_copy);
     BLEND_ASSIGN_OR_RETURN(auto ranges, (SectionArray<RecordPos>(
                                             st, parsed, kSecTableRanges,
                                             2 * num_tables)));
@@ -1244,7 +1087,7 @@ Status WriteSnapshot(const IndexBundle& bundle, const std::string& path,
                      const SnapshotOptions& options) {
   Scheduler* sched =
       options.scheduler != nullptr ? options.scheduler : Scheduler::Default();
-  return SnapshotCodec::Write(bundle, path, options.codec, sched);
+  return SnapshotCodec::Write(bundle, path, sched);
 }
 
 Result<IndexBundle> ReadSnapshot(const std::string& path,
@@ -1275,13 +1118,8 @@ Result<IndexBundle> OpenSnapshot(const std::string& path,
   return ReadSnapshot(path, options);
 }
 
-size_t SnapshotBytes(const IndexBundle& bundle, const SnapshotOptions& options) {
-  return SnapshotCodec::FileBytes(bundle, options.codec);
-}
-
-size_t SnapshotPostingBytes(const IndexBundle& bundle,
-                            const SnapshotOptions& options) {
-  return SnapshotCodec::PostingBytes(bundle, options.codec);
+size_t SnapshotBytes(const IndexBundle& bundle) {
+  return SnapshotCodec::FileBytes(bundle);
 }
 
 namespace internal {

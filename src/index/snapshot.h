@@ -7,7 +7,6 @@
 #include "common/scheduler.h"
 #include "common/status.h"
 #include "index/builder.h"
-#include "index/codec.h"
 
 namespace blend {
 
@@ -36,22 +35,10 @@ namespace blend {
 /// row maps. Unknown trailing section ids are ignored on load, so the
 /// version only needs to bump when existing sections change shape.
 ///
-/// Format v2 adds a postings codec: bits 8..15 of the header flags carry a
-/// PostingCodec id. With the raw codec (id 0) the postings payload is the
-/// v1 PostingPositions array of plain u32s; with the compressed codec (id 1)
-/// it is PostingBlobOffsets (per-cell byte offsets, num_cells + 1 u64s) plus
-/// PostingBlob — every list block-encoded as delta+bitpacked / run / bitmap
-/// containers (see index/codec.h). The logical PostingOffsets CSR is present
-/// either way and carries each list's length. Compressed blobs are served
-/// zero-copy out of the mapping like every other section; decoding happens
-/// per block in the query engine's PostingCursor.
-///
 /// Versioning policy: `kSnapshotVersion` is the single format version.
-/// Readers reject files newer than what they understand and accept older
-/// versions they can still interpret (v1 == v2 with the raw codec and zero
-/// codec flag bits; a v1 header carrying codec bits or blob sections is a
-/// forgery and rejected); additive changes (new trailing sections) do not
-/// bump it, incompatible changes do.
+/// Readers accept exactly that version and the row-map header flag (bit 0);
+/// any other version or flag bit is rejected. Additive changes (new trailing
+/// sections) do not bump the version, incompatible changes do.
 ///
 /// Two load paths share all validation:
 ///   - `ReadSnapshot` materializes every array onto the process heap; the
@@ -67,8 +54,7 @@ namespace blend {
 /// layout/section inconsistency — returns a descriptive error Status; no
 /// input bytes can cause undefined behavior.
 
-/// Current snapshot format version (see the policy above). Version 2 added
-/// the postings codec id; v1 files still open (raw postings).
+/// The snapshot format version (see the policy above).
 inline constexpr uint32_t kSnapshotVersion = 2;
 
 /// Owns the raw bytes of a loaded snapshot: either a heap buffer
@@ -100,18 +86,13 @@ class SnapshotStorage {
 
 /// Execution knobs shared by the write and load paths.
 struct SnapshotOptions {
-  /// Pool for the per-section checksum / block-encode / validation task
-  /// groups; null selects the process-wide default pool.
+  /// Pool for the per-section checksum / validation task groups; null
+  /// selects the process-wide default pool.
   Scheduler* scheduler = nullptr;
-  /// Postings codec of the written artifact (load discovers the codec from
-  /// the header). The writer transcodes as needed, so any bundle can be
-  /// saved under either codec.
-  PostingCodec codec = PostingCodec::kRaw;
 };
 
 /// Serializes `bundle` to `path`, replacing any existing file. Section
-/// checksums — and, for the compressed codec, the per-list block encode —
-/// run as task groups on the scheduler.
+/// checksums run as task groups on the scheduler.
 [[nodiscard]] Status WriteSnapshot(const IndexBundle& bundle, const std::string& path,
                      const SnapshotOptions& options = {});
 
@@ -126,17 +107,9 @@ struct SnapshotOptions {
                                  const SnapshotOptions& options = {});
 
 /// Size in bytes the snapshot of `bundle` would occupy on disk (header,
-/// section table, aligned payloads) under `options.codec` — the on-disk
-/// counterpart of IndexBundle::ApproxBytes.
-size_t SnapshotBytes(const IndexBundle& bundle,
-                     const SnapshotOptions& options = {});
-
-/// On-disk byte size of just the postings payload under `options.codec`
-/// (the dominant section, paper Table 8): the positions array for raw, the
-/// blob-offsets + blob sections for compressed. The compression headline
-/// benches report this next to the whole-artifact size.
-size_t SnapshotPostingBytes(const IndexBundle& bundle,
-                            const SnapshotOptions& options = {});
+/// section table, aligned payloads) — the on-disk counterpart of
+/// IndexBundle::ApproxBytes.
+size_t SnapshotBytes(const IndexBundle& bundle);
 
 namespace internal {
 /// The checksum protecting the header and section table. Exposed so

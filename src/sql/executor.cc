@@ -12,7 +12,6 @@
 
 #include "common/scheduler.h"
 #include "common/str_util.h"
-#include "index/codec.h"
 #include "sql/planner.h"
 
 namespace blend::sql {
@@ -51,9 +50,8 @@ constexpr size_t kMergePartitions = 16;
 /// unconstrained run (the control never alters morsel geometry or merge
 /// order).
 /// Tracing rides the same boundaries: a TraceSpan brackets each task (so
-/// stage wall time and the codec's hot-path tallies land on the stage that
-/// caused them) and a QueueWaitProbe records the dispatch latency of the
-/// group's first task. Both are inert for a null trace — no clock reads —
+/// stage wall time lands on the stage that caused it) and a QueueWaitProbe
+/// records the dispatch latency of the group's first task. Both are inert for a null trace — no clock reads —
 /// and neither touches morsel geometry, task order, or merge order.
 template <typename Fn>
 [[nodiscard]] Status RunTasks(Scheduler* sched, const QueryControl* control,
@@ -304,22 +302,16 @@ std::string ItemName(const SelectItem& item) {
 
 /// One unit of scan work: either a slice of a posting/position list
 /// (`from_list`, begin/end are ordinals within `list`) or a contiguous range
-/// of physical positions (begin/end are the positions themselves). Lists are
-/// carried as PostingListRef and consumed through PostingCursor, so a morsel
-/// neither knows nor cares whether the list is raw or block-compressed.
+/// of physical positions (begin/end are the positions themselves).
 struct ScanMorsel {
-  PostingListRef list;
+  std::span<const RecordPos> list;
   bool from_list = false;
   size_t begin = 0;
   size_t end = 0;
 };
 
-/// Morsel geometry note: kScanMorselRecords is a multiple of
-/// kPostingBlockLen, so list morsels start on container boundaries and each
-/// morsel decodes only its own blocks.
-static_assert(kScanMorselRecords % kPostingBlockLen == 0);
-
-void AppendListMorsels(PostingListRef list, std::vector<ScanMorsel>* morsels) {
+void AppendListMorsels(std::span<const RecordPos> list,
+                       std::vector<ScanMorsel>* morsels) {
   for (size_t b = 0; b < list.size(); b += kScanMorselRecords) {
     morsels->push_back(
         {list, true, b, std::min(list.size(), b + kScanMorselRecords)});
@@ -471,7 +463,7 @@ PositionCandidates CandidatesOf(const ScanSpec& spec, const Store& store) {
 std::vector<ScanMorsel> CandidateMorsels(const PositionCandidates& cands) {
   std::vector<ScanMorsel> morsels;
   if (cands.from_list) {
-    AppendListMorsels(PostingListRef::Raw(cands.list), &morsels);
+    AppendListMorsels(cands.list, &morsels);
   } else {
     for (const auto& [b, e] : cands.ranges) AppendRangeMorsels(b, e, &morsels);
   }
@@ -517,24 +509,14 @@ std::vector<ScanMorsel> AccessMorsels(const RelAccess& a, const Store& store) {
   return morsels;
 }
 
-/// Calls fn(p) for every position of `mo`, in order. A list morsel
-/// batch-decodes its own containers into the cursor's reusable scratch; raw
-/// lists come back as one zero-copy batch.
+/// Calls fn(p) for every position of `mo`, in order.
 template <typename Fn>
 void ForEachPosition(const ScanMorsel& mo, const Fn& fn) {
   if (!mo.from_list) {
     for (size_t i = mo.begin; i < mo.end; ++i) fn(static_cast<RecordPos>(i));
     return;
   }
-  PostingCursor cur(mo.list);
-  cur.SeekToOrdinal(mo.begin);
-  for (auto batch = cur.NextBatch(); !batch.empty(); batch = cur.NextBatch()) {
-    const size_t ord = cur.batch_ordinal();
-    if (ord >= mo.end) break;
-    const size_t lo = mo.begin > ord ? mo.begin - ord : 0;
-    const size_t hi = std::min(batch.size(), mo.end - ord);
-    for (size_t i = lo; i < hi; ++i) fn(batch[i]);
-  }
+  for (size_t i = mo.begin; i < mo.end; ++i) fn(mo.list[i]);
 }
 
 /// Scans one relation through its access path: the in-database hash index on
@@ -1309,32 +1291,27 @@ std::optional<Result<QueryResult>> TryFusedScanAgg(const AnalyzedQuery& q,
     std::vector<FusedGroup>& groups_m = parts[m];
     for (size_t ci = in.morsels[m].begin; ci < in.morsels[m].end; ++ci) {
       const CellId cell = in.cells[ci];
-      // Container-at-a-time: each decoded batch feeds the packed counters
-      // straight from the cursor's scratch, so the fused path never
-      // materializes a posting list regardless of codec.
-      PostingCursor cur(store.PostingList(cell));
-      for (auto batch = cur.NextBatch(); !batch.empty();
-           batch = cur.NextBatch()) {
-        const size_t ord = cur.batch_ordinal();
-        for (size_t j = 0; j < batch.size(); ++j) {
-          const RecordPos p = batch[j];
-          if (!filter.Passes(p)) continue;
-          const uint64_t key =
-              static_cast<uint64_t>(static_cast<uint32_t>(store.table(p))) |
-              (with_column ? static_cast<uint64_t>(
-                                 static_cast<uint32_t>(store.column(p)))
-                                 << 32
-                           : 0);
-          auto [gi, inserted] =
-              index.FindOrInsert(key, static_cast<uint32_t>(groups_m.size()));
-          if (inserted) {
-            groups_m.push_back({key, in.base[ci] + ord + j, 1, cell});
-          } else {
-            FusedGroup& g = groups_m[gi];
-            if (g.last_cell != cell) {
-              ++g.count;
-              g.last_cell = cell;
-            }
+      // The packed counters read the posting list in place: the fused path
+      // never materializes positions.
+      const std::span<const RecordPos> list = store.PostingList(cell);
+      for (size_t j = 0; j < list.size(); ++j) {
+        const RecordPos p = list[j];
+        if (!filter.Passes(p)) continue;
+        const uint64_t key =
+            static_cast<uint64_t>(static_cast<uint32_t>(store.table(p))) |
+            (with_column ? static_cast<uint64_t>(
+                               static_cast<uint32_t>(store.column(p)))
+                               << 32
+                         : 0);
+        auto [gi, inserted] =
+            index.FindOrInsert(key, static_cast<uint32_t>(groups_m.size()));
+        if (inserted) {
+          groups_m.push_back({key, in.base[ci] + j, 1, cell});
+        } else {
+          FusedGroup& g = groups_m[gi];
+          if (g.last_cell != cell) {
+            ++g.count;
+            g.last_cell = cell;
           }
         }
       }
@@ -1479,7 +1456,7 @@ std::optional<Result<QueryResult>> TryFusedScanProject(
   }
 
   // Budget: the output rows are the dominant materialization; charge the
-  // unfiltered upper bound so the accounting is codec-independent.
+  // unfiltered upper bound.
   ScopedMemoryCharge mem(options.control);
   const size_t width = items.size() + sort_exprs.size();
   BLEND_RETURN_NOT_OK(mem.ChargeTo(
@@ -1491,32 +1468,28 @@ std::optional<Result<QueryResult>> TryFusedScanProject(
                        TraceStage::kFusedProject, in.morsels.size(),
                        [&](size_t m) {
     for (size_t ci = in.morsels[m].begin; ci < in.morsels[m].end; ++ci) {
-      // Container-at-a-time: project straight from the cursor's decoded
-      // batch; the position vector of the two-pass pipeline never exists.
-      PostingCursor cur(store.PostingList(in.cells[ci]));
-      for (auto batch = cur.NextBatch(); !batch.empty();
-           batch = cur.NextBatch()) {
-        for (const RecordPos p : batch) {
-          if (!filter.Passes(p)) continue;
-          RowCtx ctx;
-          ctx.pos[0] = p;
-          auto leaf = [&](const BoundExpr& b) {
-            return FieldValue(store, b.field, ctx.pos[b.side]);
-          };
-          std::vector<SqlValue> vals;
-          vals.reserve(items.size());
-          for (const auto& it : items) vals.push_back(EvalExpr(*it, leaf));
-          if (!stmt.order_by.empty()) {
-            std::vector<SqlValue> sk;
-            for (size_t i = 0; i < sort_exprs.size(); ++i) {
-              sk.push_back(sort_ref[i] >= 0
-                               ? vals[static_cast<size_t>(sort_ref[i])]
-                               : EvalExpr(*sort_exprs[i], leaf));
-            }
-            sort_parts[m].push_back(std::move(sk));
+      // Project straight from the posting list; the position vector of the
+      // two-pass pipeline never exists.
+      for (const RecordPos p : store.PostingList(in.cells[ci])) {
+        if (!filter.Passes(p)) continue;
+        RowCtx ctx;
+        ctx.pos[0] = p;
+        auto leaf = [&](const BoundExpr& b) {
+          return FieldValue(store, b.field, ctx.pos[b.side]);
+        };
+        std::vector<SqlValue> vals;
+        vals.reserve(items.size());
+        for (const auto& it : items) vals.push_back(EvalExpr(*it, leaf));
+        if (!stmt.order_by.empty()) {
+          std::vector<SqlValue> sk;
+          for (size_t i = 0; i < sort_exprs.size(); ++i) {
+            sk.push_back(sort_ref[i] >= 0
+                             ? vals[static_cast<size_t>(sort_ref[i])]
+                             : EvalExpr(*sort_exprs[i], leaf));
           }
-          row_parts[m].push_back(std::move(vals));
+          sort_parts[m].push_back(std::move(sk));
         }
+        row_parts[m].push_back(std::move(vals));
       }
     }
   });
@@ -1596,7 +1569,7 @@ struct KeySeekPlan {
 
 /// Entry r is engaged when relation r's join step equates (TableId, RowId)
 /// with an earlier relation; `chosen` is the rule's decision. Everything is
-/// disengaged under `enable_galloping_join = false`, the planner override
+/// disengaged under `enable_key_seek = false`, the planner override
 /// that forces the materialized join. A step whose keys do not bind is not
 /// seekable; the join loop then reports the bind error itself.
 template <typename Store>
@@ -1606,7 +1579,7 @@ std::vector<std::optional<KeySeekPlan>> PlanKeySeeks(
     const QueryOptions& options) {
   const size_t nrels = q.rels.size();
   std::vector<std::optional<KeySeekPlan>> plans(nrels);
-  if (!options.enable_galloping_join) return plans;
+  if (!options.enable_key_seek) return plans;
   // key_class[r]: the first relation of r's (TableId, RowId) equivalence
   // class; class_bound[c]: the smallest record count in class c so far.
   std::vector<size_t> key_class(nrels);

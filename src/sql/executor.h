@@ -61,9 +61,8 @@ struct QueryOptions {
   /// only when records-per-row × the prefix's key bound is below the
   /// relation's posting count. Results — values and row order — are
   /// byte-identical to the materialized hash join either way; `false` forces
-  /// that join so benches and tests can A/B the two. (The name predates the
-  /// key seek: it once enabled a galloping posting intersection.)
-  bool enable_galloping_join = true;
+  /// that join so benches and tests can A/B the two.
+  bool enable_key_seek = true;
   /// Engine-side dedup-top-k: when dedup_column >= 0, after the final
   /// ORDER BY sort only the first row per distinct value of output column
   /// `dedup_column` is kept, and emission stops once `dedup_limit` distinct

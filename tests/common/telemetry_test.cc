@@ -323,7 +323,7 @@ TEST(TelemetryTrace, SummarySkipsUntouchedStages) {
   QueryTrace trace;
   trace.AddStage(TraceStage::kScan, 1500, 3);
   trace.AddRows(TraceStage::kScan, 100);
-  trace.AddCounter(TraceCounter::kGallopSeeks, 7);
+  trace.AddCounter(TraceCounter::kKeySeekSteps, 7);
   const QueryTraceSummary s = trace.Summary();
   ASSERT_EQ(s.stages.size(), 1u);
   EXPECT_EQ(s.stages[0].stage, TraceStage::kScan);
@@ -332,10 +332,10 @@ TEST(TelemetryTrace, SummarySkipsUntouchedStages) {
   EXPECT_NEAR(s.StageSeconds(TraceStage::kScan), 1.5e-6, 1e-12);
   EXPECT_EQ(s.StageRows(TraceStage::kScan), 100);
   EXPECT_EQ(s.StageSeconds(TraceStage::kFilter), 0.0);
-  EXPECT_EQ(s.CounterValue(TraceCounter::kGallopSeeks), 7);
+  EXPECT_EQ(s.CounterValue(TraceCounter::kKeySeekSteps), 7);
   const std::string text = s.ToString();
   EXPECT_NE(text.find("scan"), std::string::npos);
-  EXPECT_NE(text.find("gallop_seeks=7"), std::string::npos);
+  EXPECT_NE(text.find("key_seek_steps=7"), std::string::npos);
 }
 
 TEST(TelemetryTrace, ConcurrentRecordingMergesExactly) {
@@ -399,20 +399,6 @@ TEST(TelemetryTrace, QueueWaitProbeRecordsFirstTaskOnly) {
   ASSERT_EQ(s.stages.size(), 1u);
   EXPECT_EQ(s.stages[0].stage, TraceStage::kQueueWait);
   EXPECT_EQ(s.stages[0].tasks, 1);
-}
-
-TEST(TelemetryHooks, CodecHooksFeedThreadCountersAndSpans) {
-  SKIP_IF_TELEMETRY_OFF();
-  QueryTrace trace;
-  {
-    TraceSpan span(&trace, TraceStage::kGallopIntersect);
-    NotePostingBlockDecoded();
-    NotePostingBlockDecoded();
-    NoteGallopSeek();
-  }
-  const QueryTraceSummary s = trace.Summary();
-  EXPECT_EQ(s.CounterValue(TraceCounter::kPostingBlocksDecoded), 2);
-  EXPECT_EQ(s.CounterValue(TraceCounter::kGallopSeeks), 1);
 }
 
 TEST(TelemetryLatencyTimer, ObservesIntoHistogram) {

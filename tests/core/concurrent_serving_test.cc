@@ -171,11 +171,11 @@ TEST_F(ConcurrentServingTest, SmallOwnedPoolUnderManyClients) {
 }
 
 TEST_F(ConcurrentServingTest, GallopingOffMatchesGallopingOn) {
-  Blend::Options gallop_on;
-  const std::vector<std::string> want = SerialReference(gallop_on);
-  Blend::Options gallop_off = gallop_on;
-  gallop_off.enable_galloping_join = false;
-  Blend blend(&lake_, gallop_off);
+  Blend::Options key_seek_on;
+  const std::vector<std::string> want = SerialReference(key_seek_on);
+  Blend::Options key_seek_off = key_seek_on;
+  key_seek_off.enable_key_seek = false;
+  Blend blend(&lake_, key_seek_off);
   const std::vector<Plan> plans = MakeWorkload();
   for (size_t i = 0; i < plans.size(); ++i) {
     EXPECT_EQ(want[i], Dump(blend.Run(plans[i]))) << "plan " << i;

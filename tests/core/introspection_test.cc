@@ -120,10 +120,10 @@ TEST_F(IntrospectionTest, CorrelationStatementExplainsItsKeySeek) {
     return nullptr;
   };
   std::string rows[2];
-  for (bool gallop : {true, false}) {
-    SCOPED_TRACE(gallop ? "override on" : "override off");
+  for (bool key_seek : {true, false}) {
+    SCOPED_TRACE(key_seek ? "override on" : "override off");
     sql::QueryOptions opts;
-    opts.enable_galloping_join = gallop;
+    opts.enable_key_seek = key_seek;
     auto described = blend.engine().Query("EXPLAIN " + sql, opts);
     ASSERT_TRUE(described.ok()) << described.status().ToString();
     const sql::PlanDescription& plan = described.value().plan;
@@ -133,7 +133,7 @@ TEST_F(IntrospectionTest, CorrelationStatementExplainsItsKeySeek) {
     EXPECT_TRUE(has_join);
     const sql::PlanNode* seek = find_op(plan, "KeySeek");
     const sql::PlanNode* scan = find_op(plan, "Scan");
-    if (gallop) {
+    if (key_seek) {
       ASSERT_NE(seek, nullptr) << described.value().explain_text;
       EXPECT_EQ(scan, nullptr);
       EXPECT_EQ(seek->stage, TraceStage::kKeySeek);
@@ -152,11 +152,11 @@ TEST_F(IntrospectionTest, CorrelationStatementExplainsItsKeySeek) {
         char buf[40];
         snprintf(buf, sizeof(buf), "%d:%lld:%.17g,", static_cast<int>(v.kind),
                  static_cast<long long>(v.i), v.d);
-        rows[gallop ? 0 : 1] += buf;
+        rows[key_seek ? 0 : 1] += buf;
       }
     }
     if constexpr (kTelemetryEnabled) {
-      if (gallop) {
+      if (key_seek) {
         const sql::PlanNode* annotated = find_op(analyzed.value().plan, "KeySeek");
         ASSERT_NE(annotated, nullptr);
         EXPECT_GE(annotated->actual_tasks, 1);
@@ -265,7 +265,7 @@ TEST_F(IntrospectionTest, McSeekerStatementExplainsTheKeySeekRule) {
     }
 
     sql::QueryOptions off;
-    off.enable_galloping_join = false;
+    off.enable_key_seek = false;
     auto analyzed = blend.engine().Query("EXPLAIN ANALYZE " + sql);
     auto hashed = blend.engine().Query(sql, off);
     ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
@@ -282,7 +282,7 @@ TEST_F(IntrospectionTest, McSeekerStatementExplainsTheKeySeekRule) {
     }
 
     Blend::Options off_opts;
-    off_opts.enable_galloping_join = false;
+    off_opts.enable_key_seek = false;
     Blend hash_blend(&lake_, off_opts);
     auto got = mc.Execute(blend.context(), "");
     auto want = mc.Execute(hash_blend.context(), "");

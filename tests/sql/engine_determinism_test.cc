@@ -35,8 +35,7 @@ std::vector<Scheduler*> TestPools() {
 /// seeker-shaped SQL, Query over a pool of N threads must return rows
 /// byte-identical (values *and* order) to the serial run, for N in
 /// {2, 4, hardware}, on both physical layouts, with the fused fast paths on
-/// or off, with the key-seek override on or off (join shapes), and when the
-/// bundle serves block-compressed postings in memory instead of raw ones.
+/// or off, and with the key-seek override on or off (join shapes).
 class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   EngineDeterminismTest() {
@@ -51,16 +50,8 @@ class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
     row_opts.layout = StoreLayout::kRow;
     row_bundle_ = IndexBuilder(row_opts).Build(lake_);
     col_bundle_ = IndexBuilder().Build(lake_);
-    IndexBuildOptions row_copts = row_opts;
-    row_copts.serve_compressed = true;
-    row_c_bundle_ = IndexBuilder(row_copts).Build(lake_);
-    IndexBuildOptions col_copts;
-    col_copts.serve_compressed = true;
-    col_c_bundle_ = IndexBuilder(col_copts).Build(lake_);
     row_engine_ = std::make_unique<Engine>(&row_bundle_);
     col_engine_ = std::make_unique<Engine>(&col_bundle_);
-    row_c_engine_ = std::make_unique<Engine>(&row_c_bundle_);
-    col_c_engine_ = std::make_unique<Engine>(&col_c_bundle_);
   }
 
   static std::string ResultToString(const QueryResult& r) {
@@ -86,54 +77,42 @@ class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
     return out;
   }
 
-  /// Per-layout engine pair: the same physical record order served raw and
-  /// block-compressed, so one serial raw run is the reference for both.
-  struct EnginePair {
-    Engine* raw;
-    Engine* compressed;
-  };
-  std::vector<EnginePair> EnginePairs() {
-    return {{row_engine_.get(), row_c_engine_.get()},
-            {col_engine_.get(), col_c_engine_.get()}};
-  }
+  /// One engine per physical layout.
+  std::vector<Engine*> Engines() { return {row_engine_.get(), col_engine_.get()}; }
 
-  /// Runs `sql` serially on the raw-served engine as the reference, then
-  /// asserts every (serving codec, pool, fused, key-seek override)
-  /// combination reproduces it exactly on both layouts. The override is only
+  /// Runs `sql` serially as the reference, then asserts every (pool, fused,
+  /// key-seek override) combination reproduces it exactly on both layouts. The override is only
   /// swept for join statements — it cannot engage anywhere else. Every run,
   /// the reference included, applies the given engine-side dedup-top-k.
   void ExpectDeterministic(const std::string& sql, int dedup_column = -1,
                            int64_t dedup_limit = -1) {
     const bool has_join = sql.find("JOIN") != std::string::npos;
-    const std::vector<bool> gallop_dims =
+    const std::vector<bool> key_seek_dims =
         has_join ? std::vector<bool>{true, false} : std::vector<bool>{true};
-    for (const EnginePair& pair : EnginePairs()) {
+    for (Engine* engine : Engines()) {
       QueryOptions serial;
       serial.scheduler = Scheduler::Serial();
       serial.dedup_column = dedup_column;
       serial.dedup_limit = dedup_limit;
-      auto ref = pair.raw->Query(sql, serial);
+      auto ref = engine->Query(sql, serial);
       ASSERT_TRUE(ref.ok()) << ref.status().ToString() << "\n" << sql;
       const std::string want = ResultToString(ref.value());
-      for (Engine* engine : {pair.raw, pair.compressed}) {
-        for (Scheduler* pool : TestPools()) {
-          for (bool fused : {true, false}) {
-            for (bool gallop : gallop_dims) {
-              QueryOptions opts;
-              opts.scheduler = pool;
-              opts.enable_fused_scan_agg = fused;
-              opts.enable_galloping_join = gallop;
-              opts.dedup_column = dedup_column;
-              opts.dedup_limit = dedup_limit;
-              auto got = engine->Query(sql, opts);
-              ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
-              EXPECT_EQ(want, ResultToString(got.value()))
-                  << "compressed=" << (engine == pair.compressed)
-                  << " pool=" << pool->parallelism() << " fused=" << fused
-                  << " gallop=" << gallop << " dedup=" << dedup_column << "/"
-                  << dedup_limit << "\n"
-                  << sql;
-            }
+      for (Scheduler* pool : TestPools()) {
+        for (bool fused : {true, false}) {
+          for (bool key_seek : key_seek_dims) {
+            QueryOptions opts;
+            opts.scheduler = pool;
+            opts.enable_fused_scan_agg = fused;
+            opts.enable_key_seek = key_seek;
+            opts.dedup_column = dedup_column;
+            opts.dedup_limit = dedup_limit;
+            auto got = engine->Query(sql, opts);
+            ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
+            EXPECT_EQ(want, ResultToString(got.value()))
+                << "pool=" << pool->parallelism() << " fused=" << fused
+                << " key_seek=" << key_seek << " dedup=" << dedup_column << "/"
+                << dedup_limit << "\n"
+                << sql;
           }
         }
       }
@@ -149,9 +128,7 @@ class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
 
   DataLake lake_;
   IndexBundle row_bundle_, col_bundle_;
-  IndexBundle row_c_bundle_, col_c_bundle_;
   std::unique_ptr<Engine> row_engine_, col_engine_;
-  std::unique_ptr<Engine> row_c_engine_, col_c_engine_;
 };
 
 TEST_P(EngineDeterminismTest, ScShape) {
@@ -301,16 +278,16 @@ class KeySeekDeterminismTest : public EngineDeterminismTest {
   void ExpectKeySeekDeterministic(const std::string& sql, int64_t seek_steps) {
     ExpectDeterministic(sql);
     if constexpr (!kTelemetryEnabled) return;
-    for (bool gallop : {true, false}) {
+    for (bool key_seek : {true, false}) {
       QueryTrace trace;
       QueryOptions opts;
       opts.scheduler = Scheduler::Serial();
-      opts.enable_galloping_join = gallop;
+      opts.enable_key_seek = key_seek;
       opts.trace = &trace;
       ASSERT_TRUE(col_engine_->Query(sql, opts).ok()) << sql;
       const QueryTraceSummary s = trace.Summary();
-      EXPECT_EQ(s.CounterValue(TraceCounter::kKeySeekSteps), gallop ? seek_steps : 0)
-          << "gallop=" << gallop << "\n" << sql;
+      EXPECT_EQ(s.CounterValue(TraceCounter::kKeySeekSteps), key_seek ? seek_steps : 0)
+          << "key_seek=" << key_seek << "\n" << sql;
     }
   }
 
@@ -607,7 +584,7 @@ TEST_P(EngineDeterminismTest, FullScanAggregatesWithDoubleSums) {
 TEST_P(EngineDeterminismTest, QueryControlPreservesByteIdentity) {
   // The control dimension of the determinism matrix: a query that completes
   // under a generous deadline (and memory budget) must be byte-identical to
-  // the unconstrained serial run across serving codecs, pools, and fused
+  // the unconstrained serial run across pools and fused
   // settings — the cooperative checks may not alter morsel geometry or
   // merge order — and an already-expired deadline must return
   // kDeadlineExceeded, never a partial result. Both the fused aggregate and
@@ -627,37 +604,34 @@ TEST_P(EngineDeterminismTest, QueryControlPreservesByteIdentity) {
           ")) AS b ON a.TableId = b.TableId AND a.RowId = b.RowId;",
   };
   for (const std::string& sql : sqls) {
-    for (const EnginePair& pair : EnginePairs()) {
+    for (Engine* engine : Engines()) {
       QueryOptions serial;
       serial.scheduler = Scheduler::Serial();
-      auto ref = pair.raw->Query(sql, serial);
+      auto ref = engine->Query(sql, serial);
       ASSERT_TRUE(ref.ok()) << ref.status().ToString() << "\n" << sql;
       const std::string want = ResultToString(ref.value());
-      for (Engine* engine : {pair.raw, pair.compressed}) {
-        for (Scheduler* pool : TestPools()) {
-          for (bool fused : {true, false}) {
-            QueryOptions opts;
-            opts.scheduler = pool;
-            opts.enable_fused_scan_agg = fused;
+      for (Scheduler* pool : TestPools()) {
+        for (bool fused : {true, false}) {
+          QueryOptions opts;
+          opts.scheduler = pool;
+          opts.enable_fused_scan_agg = fused;
 
-            QueryControl generous =
-                QueryControl::WithDeadline(std::chrono::seconds(300));
-            generous.SetMemoryBudget(int64_t{1} << 40);
-            opts.control = &generous;
-            auto got = engine->Query(sql, opts);
-            ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
-            EXPECT_EQ(want, ResultToString(got.value()))
-                << "compressed=" << (engine == pair.compressed)
-                << " pool=" << pool->parallelism() << " fused=" << fused;
+          QueryControl generous =
+              QueryControl::WithDeadline(std::chrono::seconds(300));
+          generous.SetMemoryBudget(int64_t{1} << 40);
+          opts.control = &generous;
+          auto got = engine->Query(sql, opts);
+          ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
+          EXPECT_EQ(want, ResultToString(got.value()))
+              << "pool=" << pool->parallelism() << " fused=" << fused;
 
-            const QueryControl expired =
-                QueryControl::WithDeadline(std::chrono::nanoseconds(0));
-            opts.control = &expired;
-            auto dead = engine->Query(sql, opts);
-            ASSERT_FALSE(dead.ok());
-            EXPECT_EQ(dead.status().code(), StatusCode::kDeadlineExceeded)
-                << dead.status().ToString();
-          }
+          const QueryControl expired =
+              QueryControl::WithDeadline(std::chrono::nanoseconds(0));
+          opts.control = &expired;
+          auto dead = engine->Query(sql, opts);
+          ASSERT_FALSE(dead.ok());
+          EXPECT_EQ(dead.status().code(), StatusCode::kDeadlineExceeded)
+              << dead.status().ToString();
         }
       }
     }
@@ -667,7 +641,7 @@ TEST_P(EngineDeterminismTest, QueryControlPreservesByteIdentity) {
 TEST_P(EngineDeterminismTest, TraceTelemetryPreservesByteIdentity) {
   // The telemetry dimension of the determinism matrix: attaching a QueryTrace
   // must be pure observation — byte-identical results vs the untraced serial
-  // reference across serving codecs, pools, and fused / key-seek settings.
+  // reference across pools and fused / key-seek settings.
   // Spans record what the executor already decided; morsel geometry, task
   // order, and merge order are untouched. The traced runs must also actually
   // record (non-zero engine queries, at least one stage) when telemetry is
@@ -688,45 +662,41 @@ TEST_P(EngineDeterminismTest, TraceTelemetryPreservesByteIdentity) {
   };
   for (const std::string& sql : sqls) {
     const bool has_join = sql.find("JOIN") != std::string::npos;
-    const std::vector<bool> gallop_dims =
+    const std::vector<bool> key_seek_dims =
         has_join ? std::vector<bool>{true, false} : std::vector<bool>{true};
-    for (const EnginePair& pair : EnginePairs()) {
+    for (Engine* engine : Engines()) {
       QueryOptions serial;
       serial.scheduler = Scheduler::Serial();
-      auto ref = pair.raw->Query(sql, serial);
+      auto ref = engine->Query(sql, serial);
       ASSERT_TRUE(ref.ok()) << ref.status().ToString() << "\n" << sql;
       const std::string want = ResultToString(ref.value());
-      for (Engine* engine : {pair.raw, pair.compressed}) {
-        for (Scheduler* pool : TestPools()) {
-          for (bool fused : {true, false}) {
-            for (bool gallop : gallop_dims) {
-              QueryOptions opts;
-              opts.scheduler = pool;
-              opts.enable_fused_scan_agg = fused;
-              opts.enable_galloping_join = gallop;
+      for (Scheduler* pool : TestPools()) {
+        for (bool fused : {true, false}) {
+          for (bool key_seek : key_seek_dims) {
+            QueryOptions opts;
+            opts.scheduler = pool;
+            opts.enable_fused_scan_agg = fused;
+            opts.enable_key_seek = key_seek;
 
-              QueryTrace trace;
-              opts.trace = &trace;
-              auto traced = engine->Query(sql, opts);
-              ASSERT_TRUE(traced.ok()) << traced.status().ToString() << "\n"
-                                       << sql;
-              EXPECT_EQ(want, ResultToString(traced.value()))
-                  << "traced run diverged: compressed="
-                  << (engine == pair.compressed)
-                  << " pool=" << pool->parallelism() << " fused=" << fused
-                  << " gallop=" << gallop << "\n"
-                  << sql;
+            QueryTrace trace;
+            opts.trace = &trace;
+            auto traced = engine->Query(sql, opts);
+            ASSERT_TRUE(traced.ok()) << traced.status().ToString() << "\n"
+                                     << sql;
+            EXPECT_EQ(want, ResultToString(traced.value()))
+                << "traced run diverged: pool=" << pool->parallelism() << " fused=" << fused
+                << " key_seek=" << key_seek << "\n"
+                << sql;
 
-              opts.trace = nullptr;
-              auto untraced = engine->Query(sql, opts);
-              ASSERT_TRUE(untraced.ok()) << untraced.status().ToString();
-              EXPECT_EQ(want, ResultToString(untraced.value()));
+            opts.trace = nullptr;
+            auto untraced = engine->Query(sql, opts);
+            ASSERT_TRUE(untraced.ok()) << untraced.status().ToString();
+            EXPECT_EQ(want, ResultToString(untraced.value()));
 
-              if constexpr (kTelemetryEnabled) {
-                const QueryTraceSummary s = trace.Summary();
-                EXPECT_EQ(s.CounterValue(TraceCounter::kEngineQueries), 1);
-                EXPECT_FALSE(s.stages.empty());
-              }
+            if constexpr (kTelemetryEnabled) {
+              const QueryTraceSummary s = trace.Summary();
+              EXPECT_EQ(s.CounterValue(TraceCounter::kEngineQueries), 1);
+              EXPECT_FALSE(s.stages.empty());
             }
           }
         }
@@ -738,7 +708,7 @@ TEST_P(EngineDeterminismTest, TraceTelemetryPreservesByteIdentity) {
 TEST_P(EngineDeterminismTest, ExplainAnalyzePreservesByteIdentity) {
   // The introspection dimension of the determinism matrix: `EXPLAIN ANALYZE
   // <q>` executes the bare statement unchanged, so its rows must be
-  // byte-identical to `<q>` across serving codecs, pools, and fused /
+  // byte-identical to `<q>` across pools and fused /
   // key-seek settings — describing and annotating the plan may not perturb
   // morsel geometry, task order, or merge order. Every annotated run must
   // also carry a non-empty plan (pipeline named, at least one node), so the
@@ -761,62 +731,45 @@ TEST_P(EngineDeterminismTest, ExplainAnalyzePreservesByteIdentity) {
   };
   for (const std::string& sql : sqls) {
     const bool has_join = sql.find("JOIN") != std::string::npos;
-    const std::vector<bool> gallop_dims =
+    const std::vector<bool> key_seek_dims =
         has_join ? std::vector<bool>{true, false} : std::vector<bool>{true};
-    for (const EnginePair& pair : EnginePairs()) {
+    for (Engine* engine : Engines()) {
       QueryOptions serial;
       serial.scheduler = Scheduler::Serial();
-      auto ref = pair.raw->Query(sql, serial);
+      auto ref = engine->Query(sql, serial);
       ASSERT_TRUE(ref.ok()) << ref.status().ToString() << "\n" << sql;
       const std::string want = ResultToString(ref.value());
-      for (Engine* engine : {pair.raw, pair.compressed}) {
-        for (Scheduler* pool : TestPools()) {
-          for (bool fused : {true, false}) {
-            for (bool gallop : gallop_dims) {
-              QueryOptions opts;
-              opts.scheduler = pool;
-              opts.enable_fused_scan_agg = fused;
-              opts.enable_galloping_join = gallop;
-              auto analyzed = engine->Query("EXPLAIN ANALYZE " + sql, opts);
-              ASSERT_TRUE(analyzed.ok())
-                  << analyzed.status().ToString() << "\n" << sql;
-              EXPECT_EQ(want, ResultToString(analyzed.value()))
-                  << "EXPLAIN ANALYZE diverged: compressed="
-                  << (engine == pair.compressed)
-                  << " pool=" << pool->parallelism() << " fused=" << fused
-                  << " gallop=" << gallop << "\n"
-                  << sql;
-              EXPECT_FALSE(analyzed.value().plan.nodes.empty()) << sql;
-              EXPECT_FALSE(analyzed.value().plan.pipeline.empty()) << sql;
-              EXPECT_FALSE(analyzed.value().explain_text.empty()) << sql;
+      for (Scheduler* pool : TestPools()) {
+        for (bool fused : {true, false}) {
+          for (bool key_seek : key_seek_dims) {
+            QueryOptions opts;
+            opts.scheduler = pool;
+            opts.enable_fused_scan_agg = fused;
+            opts.enable_key_seek = key_seek;
+            auto analyzed = engine->Query("EXPLAIN ANALYZE " + sql, opts);
+            ASSERT_TRUE(analyzed.ok())
+                << analyzed.status().ToString() << "\n" << sql;
+            EXPECT_EQ(want, ResultToString(analyzed.value()))
+                << "EXPLAIN ANALYZE diverged: pool=" << pool->parallelism() << " fused=" << fused
+                << " key_seek=" << key_seek << "\n"
+                << sql;
+            EXPECT_FALSE(analyzed.value().plan.nodes.empty()) << sql;
+            EXPECT_FALSE(analyzed.value().plan.pipeline.empty()) << sql;
+            EXPECT_FALSE(analyzed.value().explain_text.empty()) << sql;
 
-              // Bare EXPLAIN never executes: a plan, no rows.
-              auto described = engine->Query("EXPLAIN " + sql, opts);
-              ASSERT_TRUE(described.ok())
-                  << described.status().ToString() << "\n" << sql;
-              EXPECT_TRUE(described.value().rows.empty()) << sql;
-              EXPECT_EQ(described.value().plan.pipeline,
-                        analyzed.value().plan.pipeline)
-                  << sql;
-            }
+            // Bare EXPLAIN never executes: a plan, no rows.
+            auto described = engine->Query("EXPLAIN " + sql, opts);
+            ASSERT_TRUE(described.ok())
+                << described.status().ToString() << "\n" << sql;
+            EXPECT_TRUE(described.value().rows.empty()) << sql;
+            EXPECT_EQ(described.value().plan.pipeline,
+                      analyzed.value().plan.pipeline)
+                << sql;
           }
         }
       }
     }
   }
-}
-
-TEST_P(EngineDeterminismTest, ServeCompressedActuallyServesCompressed) {
-  // Guard against the dimension silently testing raw-vs-raw: the
-  // serve_compressed builds must hold block-compressed postings and a
-  // smaller resident index than their raw twins.
-  EXPECT_EQ(row_c_bundle_.row_store().secondary().codec,
-            PostingCodec::kCompressed);
-  EXPECT_EQ(col_c_bundle_.column_store().secondary().codec,
-            PostingCodec::kCompressed);
-  EXPECT_EQ(row_bundle_.row_store().secondary().codec, PostingCodec::kRaw);
-  EXPECT_LT(row_c_bundle_.ApproxBytes(), row_bundle_.ApproxBytes());
-  EXPECT_LT(col_c_bundle_.ApproxBytes(), col_bundle_.ApproxBytes());
 }
 
 TEST_P(EngineDeterminismTest, NonAggregateProjectionAndTableInScan) {
@@ -827,11 +780,9 @@ TEST_P(EngineDeterminismTest, NonAggregateProjectionAndTableInScan) {
 
 TEST_P(EngineDeterminismTest, SnapshotLoadedBundlesReproduceEveryShape) {
   // The persistence dimension of the determinism matrix: for both layouts x
-  // shuffle_rows on/off x postings codec, an engine over a ReadSnapshot
-  // (heap) or OpenSnapshot (mmap zero-copy) bundle must answer the
-  // representative seeker shapes byte-identically to the freshly built
-  // bundle — i.e. the compressed cursor path reproduces the raw span path
-  // exactly.
+  // shuffle_rows on/off, an engine over a ReadSnapshot (heap) or
+  // OpenSnapshot (mmap zero-copy) bundle must answer the representative
+  // seeker shapes byte-identically to the freshly built bundle.
   Rng rng(GetParam() * 59 + 7);
   const std::vector<std::string> sqls = {
       "SELECT TableId, ColumnId, COUNT(DISTINCT CellValue) AS score "
@@ -850,44 +801,39 @@ TEST_P(EngineDeterminismTest, SnapshotLoadedBundlesReproduceEveryShape) {
   };
   for (StoreLayout layout : {StoreLayout::kColumn, StoreLayout::kRow}) {
     for (bool shuffle : {false, true}) {
-      for (PostingCodec codec : {PostingCodec::kRaw, PostingCodec::kCompressed}) {
-        SCOPED_TRACE("layout=" + std::to_string(static_cast<int>(layout)) +
-                     " shuffle=" + std::to_string(shuffle) + " codec=" +
-                     PostingCodecName(codec));
-        IndexBuildOptions opts;
-        opts.layout = layout;
-        opts.shuffle_rows = shuffle;
-        IndexBundle built = IndexBuilder(opts).Build(lake_);
-        const std::string path = ::testing::TempDir() + "blend_determinism_" +
-                                 std::to_string(GetParam());
-        SnapshotOptions snap_opts;
-        snap_opts.codec = codec;
-        ASSERT_TRUE(WriteSnapshot(built, path, snap_opts).ok());
-        auto heap = ReadSnapshot(path);
-        ASSERT_TRUE(heap.ok()) << heap.status().ToString();
-        auto mapped = OpenSnapshot(path);
-        ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+      SCOPED_TRACE("layout=" + std::to_string(static_cast<int>(layout)) +
+                   " shuffle=" + std::to_string(shuffle));
+      IndexBuildOptions opts;
+      opts.layout = layout;
+      opts.shuffle_rows = shuffle;
+      IndexBundle built = IndexBuilder(opts).Build(lake_);
+      const std::string path = ::testing::TempDir() + "blend_determinism_" +
+                               std::to_string(GetParam());
+      ASSERT_TRUE(WriteSnapshot(built, path).ok());
+      auto heap = ReadSnapshot(path);
+      ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+      auto mapped = OpenSnapshot(path);
+      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
-        Engine fresh(&built);
-        Engine heap_engine(&heap.value());
-        Engine mapped_engine(&mapped.value());
-        for (const auto& sql : sqls) {
-          auto ref = fresh.Query(sql);
-          ASSERT_TRUE(ref.ok()) << ref.status().ToString() << "\n" << sql;
-          const std::string want = ResultToString(ref.value());
-          for (Engine* loaded : {&heap_engine, &mapped_engine}) {
-            for (bool fused : {true, false}) {
-              QueryOptions qo;
-              qo.enable_fused_scan_agg = fused;
-              auto got = loaded->Query(sql, qo);
-              ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
-              EXPECT_EQ(want, ResultToString(got.value()))
-                  << "fused=" << fused << "\n" << sql;
-            }
+      Engine fresh(&built);
+      Engine heap_engine(&heap.value());
+      Engine mapped_engine(&mapped.value());
+      for (const auto& sql : sqls) {
+        auto ref = fresh.Query(sql);
+        ASSERT_TRUE(ref.ok()) << ref.status().ToString() << "\n" << sql;
+        const std::string want = ResultToString(ref.value());
+        for (Engine* loaded : {&heap_engine, &mapped_engine}) {
+          for (bool fused : {true, false}) {
+            QueryOptions qo;
+            qo.enable_fused_scan_agg = fused;
+            auto got = loaded->Query(sql, qo);
+            ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
+            EXPECT_EQ(want, ResultToString(got.value()))
+                << "fused=" << fused << "\n" << sql;
           }
         }
-        std::remove(path.c_str());
       }
+      std::remove(path.c_str());
     }
   }
 }

@@ -23,9 +23,9 @@
 //                     on it breaks the byte-identity contract. Sites that
 //                     re-canonicalize (e.g. sort immediately after) carry an
 //                     allow comment.
-//   unchecked-cast    reinterpret_cast outside index/snapshot.cc and
-//                     index/codec.cc, the two files whose byte-level casts
-//                     sit behind exhaustive validation.
+//   unchecked-cast    reinterpret_cast outside index/snapshot.cc, the one
+//                     file whose byte-level casts sit behind exhaustive
+//                     validation.
 //   unchecked-value   .value() / .ValueOrDie() on a Result in non-test code
 //                     without a same-statement ok() check or BLEND_CHECK.
 //                     An error Status reaching ValueOrDie aborts with no
@@ -297,7 +297,7 @@ struct FileContext {
   std::string display_path;  // as reported in diagnostics
   bool deterministic_scope = false;  // src/core, src/sql, src/index
   bool allow_raw_thread = false;     // common/scheduler.{h,cc}
-  bool allow_reinterpret = false;    // index/snapshot.cc, index/codec.cc
+  bool allow_reinterpret = false;    // index/snapshot.cc
   bool checked_value_scope = false;  // non-test code: .value() needs a guard
   bool allow_hot_clock = false;      // telemetry/timer/control: the clock owners
   bool raw_stdio_scope = false;      // library code under src/
@@ -612,8 +612,8 @@ void RuleUncheckedCast(const FileContext& ctx, const LexedFile& lf,
   for (const Token& t : lf.tokens) {
     if (t.text != "reinterpret_cast") continue;
     Report(ctx, lf, t.line, "unchecked-cast",
-           "reinterpret_cast outside index/snapshot.cc / index/codec.cc; "
-           "byte-level reinterpretation must sit behind validated loaders",
+           "reinterpret_cast outside index/snapshot.cc; byte-level "
+           "reinterpretation must sit behind the validated snapshot loader",
            out);
   }
 }
@@ -647,8 +647,7 @@ FileContext MakeContext(const fs::path& path, bool fixture_mode) {
                             p.find("/index/") != std::string::npos;
   ctx.allow_raw_thread = p.find("common/scheduler.") != std::string::npos;
   ctx.allow_reinterpret =
-      p.find("/index/") != std::string::npos &&
-      (base == "snapshot.cc" || base == "codec.cc");
+      p.find("/index/") != std::string::npos && base == "snapshot.cc";
   ctx.checked_value_scope = p.find("/tests/") == std::string::npos &&
                             base.find("_test.") == std::string::npos;
   ctx.allow_hot_clock = base.rfind("telemetry.", 0) == 0 ||

@@ -1,5 +1,5 @@
 // Fixture: the unchecked-cast rule. reinterpret_cast belongs behind the
-// validated snapshot/codec loaders, nowhere else.
+// validated snapshot loader, nowhere else.
 #include <cstdint>
 
 namespace blend {
