@@ -512,14 +512,17 @@ TEST(SnapshotTest, EmptyLakeRoundTripsAndAnswersQueries) {
 // Corruption handling: every malformed input is a descriptive error.
 // ---------------------------------------------------------------------------
 
-/// Parameterized over the layout (0 = column, 1 = row), so every tampering
-/// below is exercised against artifacts of both physical layouts.
+/// Parameterized over two bits: bit 0 is the layout (0 = column, 1 = row),
+/// bit 1 builds without shuffling (0 = shuffled, with row maps; 1 =
+/// unshuffled, no row maps). Every tampering below is exercised against
+/// artifacts of both physical layouts, with and without the row-map flag.
 class SnapshotCorruptionTest : public ::testing::TestWithParam<int> {
  protected:
   SnapshotCorruptionTest() {
     lake_ = TestLake(23);
-    layout_ = GetParam() == 0 ? StoreLayout::kColumn : StoreLayout::kRow;
-    bundle_ = BuildBundle(lake_, layout_, /*shuffle=*/true);
+    layout_ = (GetParam() & 1) == 0 ? StoreLayout::kColumn : StoreLayout::kRow;
+    const bool shuffle = (GetParam() & 2) == 0;
+    bundle_ = BuildBundle(lake_, layout_, shuffle);
     // Unique per test method: ctest runs every test as its own process, and
     // concurrent methods of this fixture must not rewrite one shared file.
     std::string name =
@@ -786,10 +789,11 @@ TEST_P(SnapshotCorruptionTest, BufferLoaderSurvivesTruncationSweep) {
   }
 }
 
-// The instantiation predates the removal of the postings-codec dimension;
-// its name is kept so the test ids of the layout cases stay stable.
+// The instantiation predates the removal of the postings-codec dimension
+// (bit 1 used to pick the codec); its name is kept so the test ids stay
+// stable.
 INSTANTIATE_TEST_SUITE_P(LayoutsAndCodecs, SnapshotCorruptionTest,
-                         ::testing::Values(0, 1));
+                         ::testing::Values(0, 1, 2, 3));
 
 }  // namespace
 }  // namespace blend
