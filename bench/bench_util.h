@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <unordered_set>
@@ -51,6 +52,12 @@ inline std::string FmtSeconds(double s) {
     snprintf(buf, sizeof(buf), "%.2fs", s);
   }
   return buf;
+}
+
+/// Prints one paper-shape verdict computed from the table a bench just
+/// printed, next to the paper's claim it checks.
+inline void PrintVerdict(const char* name, bool holds, const char* claim) {
+  std::printf("%s = %s  (paper: %s)\n", name, holds ? "true" : "false", claim);
 }
 
 /// Formats byte counts.

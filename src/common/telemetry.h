@@ -262,7 +262,6 @@ enum class TraceStage : uint8_t {
   kGallopIntersect,
   kGallopEmit,
   kFusedScan,
-  kFusedProject,
   kFilter,
   kProjection,
   kAggregation,
@@ -287,7 +286,6 @@ constexpr const char* TraceStageName(TraceStage s) {
     case TraceStage::kGallopIntersect: return "gallop intersect";
     case TraceStage::kGallopEmit: return "gallop emit";
     case TraceStage::kFusedScan: return "fused scan";
-    case TraceStage::kFusedProject: return "fused project";
     case TraceStage::kFilter: return "filter";
     case TraceStage::kProjection: return "projection";
     case TraceStage::kAggregation: return "aggregation";

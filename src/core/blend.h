@@ -47,9 +47,9 @@ class Blend {
     /// byte-identical for every setting.
     Scheduler* scheduler = nullptr;
     int query_threads = 0;
-    /// Fused scan->aggregate / scan->project fast paths for the seeker
-    /// shapes; switchable so ablations can compare against the generic
-    /// pipeline.
+    /// Planner override for the fused scan->aggregate operator of the SC/KW
+    /// seeker shape (sql::QueryOptions::enable_fused_scan_agg); `false`
+    /// forces the generic pipeline so ablations can compare the two.
     bool enable_fused_scan_agg = true;
     /// Planner override for the key-seek join step
     /// (sql::QueryOptions::enable_key_seek); `false` forces the

@@ -1,5 +1,7 @@
 #include "sql/engine.h"
 
+#include <optional>
+
 #include "common/telemetry.h"
 #include "sql/parser.h"
 
@@ -34,6 +36,47 @@ struct EngineMetrics {
   }
 };
 
+/// Plans one parsed statement once against `store`, then describes and/or
+/// executes that plan: EXPLAIN describes only (never executes, never charges
+/// budgets); EXPLAIN ANALYZE and plan capture execute, then annotate the
+/// description from the trace delta this statement added. A statement that
+/// fails to plan fails alike in every mode.
+template <typename Store>
+Result<QueryResult> RunStatement(const Statement& parsed, const std::string& sql,
+                                 const Store& store, const Dictionary& dict,
+                                 QueryOptions options) {
+  std::optional<QueryTrace> local_trace;
+  if (parsed.explain == ExplainMode::kAnalyze && options.trace == nullptr) {
+    options.trace = &local_trace.emplace();
+  }
+  BLEND_ASSIGN_OR_RETURN(const PlannedSelect<Store> planned,
+                         PlanSelect(*parsed.select, store, dict, options));
+  if (parsed.explain == ExplainMode::kPlan) {
+    QueryResult out;
+    out.plan = planned.Describe();
+    out.explain_text = out.plan.Render();
+    return out;
+  }
+  if (parsed.explain == ExplainMode::kNone && options.plan_capture == nullptr) {
+    return planned.Execute();
+  }
+  // With a caller-attached trace the annotation is the delta accumulated by
+  // this statement, so multi-statement runs sharing one trace still
+  // attribute per-statement actuals correctly.
+  QueryTraceSummary before;
+  if (options.trace != nullptr) before = options.trace->Summary();
+  BLEND_ASSIGN_OR_RETURN(QueryResult out, planned.Execute());
+  PlanDescription plan = planned.Describe();
+  if (options.trace != nullptr) plan.Annotate(options.trace->Summary().Delta(before));
+  if (parsed.explain == ExplainMode::kAnalyze) {
+    out.plan = std::move(plan);
+    out.explain_text = out.plan.Render();
+  } else {
+    options.plan_capture->plans.push_back({sql, std::move(plan)});
+  }
+  return out;
+}
+
 }  // namespace
 
 Result<QueryResult> Engine::Query(const std::string& sql) const {
@@ -51,77 +94,14 @@ Result<QueryResult> Engine::Query(const std::string& sql,
   }
   auto run = [&]() -> Result<QueryResult> {
     BLEND_ASSIGN_OR_RETURN(Statement parsed, ParseStatement(sql));
-    const SelectStmt& stmt = *parsed.select;
     QueryOptions effective = options;
     if (effective.scheduler == nullptr) effective.scheduler = scheduler_;
-
-    auto describe = [&]() -> Result<PlanDescription> {
-      if (bundle_->layout() == StoreLayout::kRow) {
-        return DescribeSelect(stmt, bundle_->row_store(),
-                              bundle_->dictionary(), effective);
-      }
-      return DescribeSelect(stmt, bundle_->column_store(),
-                            bundle_->dictionary(), effective);
-    };
-    auto execute = [&]() -> Result<QueryResult> {
-      if (bundle_->layout() == StoreLayout::kRow) {
-        return ExecuteSelect(stmt, bundle_->row_store(), bundle_->dictionary(),
-                             effective);
-      }
-      return ExecuteSelect(stmt, bundle_->column_store(),
-                           bundle_->dictionary(), effective);
-    };
-
-    if (parsed.explain == ExplainMode::kPlan) {
-      // EXPLAIN: plan only, never execute (and never charge budgets).
-      BLEND_ASSIGN_OR_RETURN(PlanDescription plan, describe());
-      QueryResult out;
-      out.plan = std::move(plan);
-      out.explain_text = out.plan.Render();
-      return out;
+    if (bundle_->layout() == StoreLayout::kRow) {
+      return RunStatement(parsed, sql, bundle_->row_store(), bundle_->dictionary(),
+                          effective);
     }
-
-    if (parsed.explain == ExplainMode::kAnalyze) {
-      // EXPLAIN ANALYZE: describe (cheap — binds plus cardinality math),
-      // execute the bare statement unchanged, then annotate the plan from
-      // the trace. With a caller-attached trace the annotation is the delta
-      // accumulated by this statement, so multi-statement runs sharing one
-      // trace still attribute per-statement actuals correctly.
-      BLEND_ASSIGN_OR_RETURN(PlanDescription plan, describe());
-      QueryTrace local_trace;
-      const bool external_trace = effective.trace != nullptr;
-      QueryTraceSummary before;
-      if (external_trace) {
-        before = effective.trace->Summary();
-      } else {
-        effective.trace = &local_trace;
-      }
-      BLEND_ASSIGN_OR_RETURN(QueryResult out, execute());
-      plan.Annotate(external_trace ? effective.trace->Summary().Delta(before)
-                                   : effective.trace->Summary());
-      out.plan = std::move(plan);
-      out.explain_text = out.plan.Render();
-      return out;
-    }
-
-    // Plain statement. With a plan-capture sink attached, also describe and
-    // record the (trace-annotated) plan; a describe failure mirrors the
-    // execute failure, so it is simply not captured.
-    if (effective.plan_capture != nullptr) {
-      auto plan_or = describe();
-      QueryTraceSummary before;
-      if (effective.trace != nullptr) before = effective.trace->Summary();
-      BLEND_ASSIGN_OR_RETURN(QueryResult out, execute());
-      if (plan_or.ok()) {
-        PlanDescription plan = plan_or.take();
-        if (effective.trace != nullptr) {
-          plan.Annotate(effective.trace->Summary().Delta(before));
-        }
-        effective.plan_capture->plans.push_back({sql, std::move(plan)});
-      }
-      return out;
-    }
-    return execute();
+    return RunStatement(parsed, sql, bundle_->column_store(), bundle_->dictionary(),
+                        effective);
   };
   Result<QueryResult> result = run();
   if (!result.ok()) metrics.errors->Increment();

@@ -328,8 +328,8 @@ void AppendRangeMorsels(size_t begin, size_t end,
 /// Resolves the IN-list of a CellValue access path to sorted distinct cell
 /// ids. Ascending id order is the canonical scan order: it fixes the output
 /// position sequence independently of IN-list order and of hash-set iteration
-/// quirks, and the fused operator walks the same sequence. Every IN-list path
-/// (fused aggregate, fused projection, generic-pipeline relations) resolves here,
+/// quirks, and the fused aggregate walks the same sequence. Each relation's
+/// IN-list resolves here once per statement, at planning (ResolveAccess),
 /// probing the dictionary once for the whole batch.
 std::vector<CellId> ResolveCellIds(const Expr& cell_in, const Dictionary& dict) {
   std::vector<std::string> normalized;
@@ -343,82 +343,6 @@ std::vector<CellId> ResolveCellIds(const Expr& cell_in, const Dictionary& dict) 
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
 }
-
-/// Per-record filter of one relation's ScanSpec beyond its access path: the
-/// RowId bound, Quadrant IS NOT NULL, the residual predicates and, when
-/// `filter_tables`, TableId IN membership. When `cells` is given it also
-/// answers CellValue IN membership (CellAllowed) for a key seek, which reads
-/// whole record groups instead of postings. Bound once; evaluation is
-/// read-only and thread-safe.
-template <typename Store>
-class RecordFilter {
- public:
-  static Result<RecordFilter> Make(const ScanSpec& spec, const Store& store,
-                                   const Dictionary& dict, bool filter_tables,
-                                   const std::vector<CellId>* cells = nullptr) {
-    RecordFilter f(store);
-    f.row_lt_ = spec.row_lt;
-    f.need_quadrant_ = spec.need_quadrant;
-    if (filter_tables && spec.table_in != nullptr) {
-      f.use_table_filter_ = true;
-      for (int64_t t : spec.table_in->in_ints) {
-        f.table_filter_.FindOrInsert(static_cast<uint64_t>(t), 0);
-      }
-    }
-    if (cells != nullptr) {
-      f.use_cell_filter_ = true;
-      f.cell_filter_ = FlatKeyIndex(cells->size());
-      for (CellId id : *cells) f.cell_filter_.FindOrInsert(id, 0);
-    }
-    Binder binder(&dict, {AllFields("")});
-    for (const Expr* c : spec.residual) {
-      BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*c));
-      f.preds_.push_back(std::move(b));
-    }
-    return f;
-  }
-
-  /// TableId IN membership (true when the filter does not check tables).
-  bool TableAllowed(int64_t table) const {
-    return !use_table_filter_ ||
-           table_filter_.Find(static_cast<uint64_t>(table)) != FlatKeyIndex::kAbsent;
-  }
-
-  /// CellValue IN membership (true when the filter was made without cells).
-  bool CellAllowed(CellId cell) const {
-    return !use_cell_filter_ || cell_filter_.Find(cell) != FlatKeyIndex::kAbsent;
-  }
-
-  /// True when Passes checks nothing, so every record passes.
-  bool PassesAll() const {
-    return !use_table_filter_ && row_lt_ < 0 && !need_quadrant_ && preds_.empty();
-  }
-
-  bool Passes(RecordPos p) const {
-    if (!TableAllowed(store_->table(p))) return false;
-    if (row_lt_ >= 0 && store_->row(p) >= row_lt_) return false;
-    if (need_quadrant_ && store_->quadrant(p) == kQuadrantNull) return false;
-    for (const auto& pred : preds_) {
-      SqlValue v = EvalExpr(*pred, [&](const BoundExpr& b) {
-        return FieldValue(*store_, b.field, p);
-      });
-      if (!v.IsTruthy()) return false;
-    }
-    return true;
-  }
-
- private:
-  explicit RecordFilter(const Store& store) : store_(&store) {}
-
-  const Store* store_;
-  int64_t row_lt_ = -1;
-  bool need_quadrant_ = false;
-  bool use_table_filter_ = false;
-  FlatKeyIndex table_filter_;
-  bool use_cell_filter_ = false;
-  FlatKeyIndex cell_filter_;
-  std::vector<BoundExprPtr> preds_;
-};
 
 /// Candidate positions of a relation without a CellValue access path, in
 /// scan order: the TableId clustered-index ranges (ids ascending, so
@@ -470,13 +394,16 @@ std::vector<ScanMorsel> CandidateMorsels(const PositionCandidates& cands) {
   return morsels;
 }
 
-/// One relation's access path, resolved once per statement and shared by the
-/// key-seek planner, the scan, the seek and describe mode: the ScanSpec, the
-/// CellValue IN-list's cells in canonical order (posting-backed) or the
-/// candidate positions (otherwise), and the records the path reads — the
-/// posting count, O(1) per cell from the CSR offsets, or the candidate count.
+/// One relation's access path, resolved once per statement at planning and
+/// shared by the key-seek planner, the scan, the seek, the fused aggregate
+/// and Describe: the ScanSpec, its residual predicates bound against the
+/// base relation, the CellValue IN-list's cells in canonical order
+/// (posting-backed) or the candidate positions (otherwise), and the records
+/// the path reads — the posting count, O(1) per cell from the CSR offsets,
+/// or the candidate count.
 struct RelAccess {
   ScanSpec spec;
+  std::vector<BoundExprPtr> residual;
   std::vector<CellId> cells;
   PositionCandidates cands;
   size_t records = 0;
@@ -485,10 +412,15 @@ struct RelAccess {
 };
 
 template <typename Store>
-RelAccess ResolveAccess(const AnalyzedRel& rel, const Store& store,
-                        const Dictionary& dict) {
+Result<RelAccess> ResolveAccess(const AnalyzedRel& rel, const Store& store,
+                                const Dictionary& dict) {
   RelAccess a;
   a.spec = ClassifyScan(rel.scan_pred);
+  const Binder binder(&dict, {AllFields("")});
+  for (const Expr* c : a.spec.residual) {
+    BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*c));
+    a.residual.push_back(std::move(b));
+  }
   if (a.posting_backed()) {
     a.cells = ResolveCellIds(*a.spec.cell_in, dict);
     for (CellId id : a.cells) a.records += store.PostingCount(id);
@@ -509,6 +441,74 @@ std::vector<ScanMorsel> AccessMorsels(const RelAccess& a, const Store& store) {
   return morsels;
 }
 
+/// Per-record filter of one relation's access beyond its access path: the
+/// RowId bound, Quadrant IS NOT NULL, the bound residual predicates and, when
+/// `filter_tables`, TableId IN membership. With `filter_cells` it also
+/// answers CellValue IN membership (CellAllowed) for a key seek, which reads
+/// whole record groups instead of postings. Evaluation is read-only and
+/// thread-safe; `a` must outlive the filter.
+template <typename Store>
+class RecordFilter {
+ public:
+  RecordFilter(const RelAccess& a, const Store& store, bool filter_tables,
+               bool filter_cells = false)
+      : store_(&store),
+        row_lt_(a.spec.row_lt),
+        need_quadrant_(a.spec.need_quadrant),
+        preds_(&a.residual) {
+    if (filter_tables && a.spec.table_in != nullptr) {
+      use_table_filter_ = true;
+      for (int64_t t : a.spec.table_in->in_ints) {
+        table_filter_.FindOrInsert(static_cast<uint64_t>(t), 0);
+      }
+    }
+    if (filter_cells) {
+      use_cell_filter_ = true;
+      cell_filter_ = FlatKeyIndex(a.cells.size());
+      for (CellId id : a.cells) cell_filter_.FindOrInsert(id, 0);
+    }
+  }
+
+  /// TableId IN membership (true when the filter does not check tables).
+  bool TableAllowed(int64_t table) const {
+    return !use_table_filter_ ||
+           table_filter_.Find(static_cast<uint64_t>(table)) != FlatKeyIndex::kAbsent;
+  }
+
+  /// CellValue IN membership (true when the filter was made without cells).
+  bool CellAllowed(CellId cell) const {
+    return !use_cell_filter_ || cell_filter_.Find(cell) != FlatKeyIndex::kAbsent;
+  }
+
+  /// True when Passes checks nothing, so every record passes.
+  bool PassesAll() const {
+    return !use_table_filter_ && row_lt_ < 0 && !need_quadrant_ && preds_->empty();
+  }
+
+  bool Passes(RecordPos p) const {
+    if (!TableAllowed(store_->table(p))) return false;
+    if (row_lt_ >= 0 && store_->row(p) >= row_lt_) return false;
+    if (need_quadrant_ && store_->quadrant(p) == kQuadrantNull) return false;
+    for (const auto& pred : *preds_) {
+      SqlValue v = EvalExpr(*pred, [&](const BoundExpr& b) {
+        return FieldValue(*store_, b.field, p);
+      });
+      if (!v.IsTruthy()) return false;
+    }
+    return true;
+  }
+
+ private:
+  const Store* store_;
+  int64_t row_lt_;
+  bool need_quadrant_;
+  const std::vector<BoundExprPtr>* preds_;
+  bool use_table_filter_ = false;
+  FlatKeyIndex table_filter_;
+  bool use_cell_filter_ = false;
+  FlatKeyIndex cell_filter_;
+};
+
 /// Calls fn(p) for every position of `mo`, in order.
 template <typename Fn>
 void ForEachPosition(const ScanMorsel& mo, const Fn& fn) {
@@ -525,13 +525,10 @@ void ForEachPosition(const ScanMorsel& mo, const Fn& fn) {
 /// IN-list that is not the access path acts as a filter.
 template <typename Store>
 Result<std::vector<RecordPos>> ScanRel(const RelAccess& a, const Store& store,
-                                       const Dictionary& dict, Scheduler* sched,
+                                       Scheduler* sched,
                                        const QueryControl* control,
                                        QueryTrace* trace) {
-  BLEND_ASSIGN_OR_RETURN(
-      const auto filter,
-      RecordFilter<Store>::Make(a.spec, store, dict,
-                                /*filter_tables=*/a.posting_backed()));
+  const RecordFilter<Store> filter(a, store, /*filter_tables=*/a.posting_backed());
   const std::vector<ScanMorsel> morsels = AccessMorsels(a, store);
 
   // Filter each morsel into its own buffer, then concatenate in morsel order:
@@ -815,8 +812,9 @@ RecordPos JoinKeyGroupEnd(const Store& store, uint64_t key, RecordPos from) {
 
 /// Sorts rows (pairs of output values + sort key values), applies the
 /// engine-side dedup-top-k spec (QueryOptions::dedup_column / dedup_limit),
-/// then LIMIT. Shared by the generic pipeline and the fused projection, so
-/// dedup semantics cannot diverge between them.
+/// then LIMIT. Shared by the generic projection and aggregation, so dedup
+/// semantics cannot diverge between them; the fused aggregate's PackedTopK
+/// reproduces it over packed groups.
 void SortAndLimit(std::vector<std::vector<SqlValue>>* rows,
                   std::vector<std::vector<SqlValue>>* sort_vals,
                   const std::vector<bool>& desc, int64_t limit,
@@ -890,6 +888,27 @@ void SortAndLimit(std::vector<std::vector<SqlValue>>* rows,
   }
 }
 
+/// Bound ORDER BY: per key, the select-list column a bare name refers to
+/// (ref >= 0) or the bound expression (null where ref >= 0), and the
+/// direction.
+struct SortSpec {
+  std::vector<int> ref;
+  std::vector<BoundExprPtr> exprs;
+  std::vector<bool> desc;
+};
+
+/// The sort key values of one output row `vals`.
+template <typename LeafFn>
+std::vector<SqlValue> SortKeys(const SortSpec& sort, const std::vector<SqlValue>& vals,
+                               const LeafFn& leaf) {
+  std::vector<SqlValue> sk;
+  for (size_t i = 0; i < sort.exprs.size(); ++i) {
+    sk.push_back(sort.ref[i] >= 0 ? vals[static_cast<size_t>(sort.ref[i])]
+                                  : EvalExpr(*sort.exprs[i], leaf));
+  }
+  return sk;
+}
+
 /// One finalized group ready for projection: group-by key values plus the
 /// already-finalized aggregate values (kAggRef / kKeyRef leaves).
 struct GroupOut {
@@ -898,15 +917,11 @@ struct GroupOut {
 };
 
 /// Projects finalized groups through the select items, evaluates sort keys,
-/// sorts and applies LIMIT. Shared by the generic aggregation pipeline and
-/// the fused scan->aggregate operator, so the two paths cannot diverge in
-/// output assembly.
+/// sorts and applies LIMIT.
 void EmitGroups(const std::vector<GroupOut>& groups,
-                const std::vector<BoundExprPtr>& items,
-                const std::vector<int>& sort_ref,
-                const std::vector<BoundExprPtr>& sort_exprs,
-                const std::vector<bool>& desc, const SelectStmt& stmt,
-                const QueryOptions& options, QueryResult* result) {
+                const std::vector<BoundExprPtr>& items, const SortSpec& sort,
+                const SelectStmt& stmt, const QueryOptions& options,
+                QueryResult* result) {
   std::vector<std::vector<SqlValue>> out_rows;
   std::vector<std::vector<SqlValue>> sort_vals;
   out_rows.reserve(groups.size());
@@ -919,114 +934,11 @@ void EmitGroups(const std::vector<GroupOut>& groups,
     std::vector<SqlValue> vals;
     vals.reserve(items.size());
     for (const auto& it : items) vals.push_back(EvalExpr(*it, leaf));
-    if (!stmt.order_by.empty()) {
-      std::vector<SqlValue> sk;
-      for (size_t i = 0; i < sort_exprs.size(); ++i) {
-        sk.push_back(sort_ref[i] >= 0 ? vals[static_cast<size_t>(sort_ref[i])]
-                                      : EvalExpr(*sort_exprs[i], leaf));
-      }
-      sort_vals.push_back(std::move(sk));
-    }
+    if (!stmt.order_by.empty()) sort_vals.push_back(SortKeys(sort, vals, leaf));
     out_rows.push_back(std::move(vals));
   }
-  SortAndLimit(&out_rows, &sort_vals, desc, stmt.limit, options);
+  SortAndLimit(&out_rows, &sort_vals, sort.desc, stmt.limit, options);
   result->rows = std::move(out_rows);
-}
-
-/// Binds ORDER BY items in aggregate context: alias references resolve to
-/// output columns (sort_ref), everything else binds as an aggregate-context
-/// expression.
-Status BindAggOrderBy(const SelectStmt& stmt, const Binder& binder,
-                      const std::vector<BoundExprPtr>& key_exprs,
-                      std::vector<AggSpec>* aggs,
-                      const std::vector<std::string>& columns,
-                      std::vector<int>* sort_ref,
-                      std::vector<BoundExprPtr>* sort_exprs,
-                      std::vector<bool>* desc) {
-  for (const auto& oi : stmt.order_by) {
-    int ref = -1;
-    if (oi.expr->kind == ExprKind::kColumnRef && oi.expr->table_alias.empty()) {
-      for (size_t i = 0; i < columns.size(); ++i) {
-        if (ToLower(columns[i]) == ToLower(oi.expr->column)) {
-          ref = static_cast<int>(i);
-          break;
-        }
-      }
-    }
-    sort_ref->push_back(ref);
-    if (ref < 0) {
-      BLEND_ASSIGN_OR_RETURN(auto b, binder.BindAggExpr(*oi.expr, key_exprs, aggs));
-      sort_exprs->push_back(std::move(b));
-    } else {
-      sort_exprs->push_back(nullptr);
-    }
-    desc->push_back(oi.desc);
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Helpers shared by the fused operators.
-// ---------------------------------------------------------------------------
-
-/// Filter suffix of a scan node's detail: the RowId bound and residual count.
-std::string FilterDetail(const ScanSpec& spec) {
-  std::string out;
-  if (spec.row_lt >= 0) out += "; RowId < " + std::to_string(spec.row_lt);
-  if (!spec.residual.empty()) {
-    out += "; " + std::to_string(spec.residual.size()) + " residual preds";
-  }
-  return out;
-}
-
-/// A fused operator's scan input: the IN-list's cells in canonical scan order
-/// (cells ascending, postings in list order), each cell's first global
-/// posting ordinal, and morsels of consecutive whole cells. A posting list is
-/// never split, which the fused aggregate's per-list dedup relies on; packing
-/// cells up to kScanMorselRecords keeps the task count proportional to
-/// records, not IN-list size.
-struct CellMorsels {
-  struct Range {
-    size_t begin, end;
-  };
-  std::vector<CellId> cells;
-  std::vector<size_t> base;  // base[i] = ordinal of cells[i]'s first posting
-  std::vector<Range> morsels;
-
-  size_t postings() const { return base.back(); }
-
-  PlanNode DescribeScan(const ScanSpec& spec) const {
-    PlanNode scan;
-    scan.depth = 1;
-    scan.op = "PostingScan";
-    scan.detail = std::to_string(cells.size()) + " cells";
-    if (spec.table_in != nullptr) scan.detail += "; TableId filter";
-    scan.detail += FilterDetail(spec);
-    scan.est_rows = static_cast<int64_t>(postings());
-    return scan;
-  }
-};
-
-template <typename Store>
-CellMorsels MakeCellMorsels(const Expr& cell_in, const Store& store,
-                            const Dictionary& dict) {
-  CellMorsels m;
-  m.cells = ResolveCellIds(cell_in, dict);
-  const std::vector<CellId>& cells = m.cells;
-  m.base.assign(cells.size() + 1, 0);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    m.base[i + 1] = m.base[i] + store.PostingCount(cells[i]);
-  }
-  size_t mb = 0;
-  while (mb < cells.size()) {
-    size_t me = mb + 1;
-    while (me < cells.size() && m.base[me + 1] - m.base[mb] <= kScanMorselRecords) {
-      ++me;
-    }
-    m.morsels.push_back({mb, me});
-    mb = me;
-  }
-  return m;
 }
 
 // ---------------------------------------------------------------------------
@@ -1149,7 +1061,7 @@ struct PackedTopK {
     return idx;
   }
 
-  /// Describe-mode detail, e.g. "score DESC; dedup TableId k=10".
+  /// The PackedTopK node's detail, e.g. "score DESC; dedup TableId k=10".
   std::string Describe(const std::vector<std::string>& columns) const {
     std::string d = sort.empty() ? "first-appearance order" : "";
     for (size_t i = 0; i < sort.size(); ++i) {
@@ -1164,351 +1076,23 @@ struct PackedTopK {
   }
 };
 
-/// Attempts the fused path. Returns nullopt when the statement does not have
-/// the fused shape (including any bind failure — the generic pipeline then
-/// re-binds and reports the real error). An engaged return is the query's
-/// outcome: the result, or the control Status that stopped the cursor
-/// batches.
-template <typename Store>
-std::optional<Result<QueryResult>> TryFusedScanAgg(const AnalyzedQuery& q,
-                                                   const SelectStmt& stmt,
-                                                   const Store& store,
-                                                   const Dictionary& dict,
-                                                   const QueryOptions& options,
-                                                   PlanDescription* describe) {
-  Scheduler* sched = options.scheduler;
-  if (q.rels.size() != 1 || !q.join_ons.empty() || q.residual_where != nullptr) {
-    return std::nullopt;
-  }
-  if (stmt.select_star || stmt.group_by.empty()) return std::nullopt;
-
-  const ScanSpec spec = ClassifyScan(q.rels[0].scan_pred);
-  if (spec.cell_in == nullptr || spec.need_quadrant) return std::nullopt;
-
-  // Bind keys and items against the visible schema, exactly as the generic
-  // aggregation pipeline would.
-  Binder binder(&dict, {q.rels[0].visible});
-  std::vector<BoundExprPtr> key_exprs;
-  for (const auto& g : stmt.group_by) {
-    auto kb = binder.BindRowExpr(*g);
-    if (!kb.ok()) return std::nullopt;
-    key_exprs.push_back(kb.take());
-  }
-  if (key_exprs.empty() || key_exprs.size() > 2) return std::nullopt;
-  if (key_exprs[0]->kind != BKind::kField || key_exprs[0]->field != Field::kTable) {
-    return std::nullopt;
-  }
-  const bool with_column = key_exprs.size() == 2;
-  if (with_column && (key_exprs[1]->kind != BKind::kField ||
-                      key_exprs[1]->field != Field::kColumn)) {
-    return std::nullopt;
-  }
-
-  QueryResult result;
-  std::vector<AggSpec> aggs;
+/// The fused aggregate's plan over its relation's resolved cells, in
+/// canonical scan order (cells ascending, postings in list order): base[i]
+/// is the global ordinal of cells[i]'s first posting, and each morsel packs
+/// consecutive whole cells up to kScanMorselRecords records. A posting list
+/// is never split, which the per-list dedup relies on; packing keeps the
+/// task count proportional to records, not IN-list size. The `base`
+/// ordinals order group discovery exactly like the generic pipeline's
+/// first-appearance order, which keeps the two paths byte-identical.
+struct FusedAggPlan {
+  struct Range {
+    size_t begin, end;
+  };
+  bool with_column = false;  // GROUP BY TableId, ColumnId
   PackedTopK tail;
-  for (const auto& item : stmt.items) {
-    auto b = binder.BindAggExpr(*item.expr, key_exprs, &aggs);
-    if (!b.ok()) return std::nullopt;
-    const auto col = PackedColOf(*b.take());
-    if (!col.has_value()) return std::nullopt;
-    result.columns.push_back(ItemName(item));
-    tail.out.push_back(*col);
-  }
-  std::vector<int> sort_ref;
-  std::vector<BoundExprPtr> sort_exprs;
-  std::vector<bool> desc;
-  if (!BindAggOrderBy(stmt, binder, key_exprs, &aggs, result.columns, &sort_ref,
-                      &sort_exprs, &desc)
-           .ok()) {
-    return std::nullopt;
-  }
-  for (size_t i = 0; i < desc.size(); ++i) {
-    if (sort_ref[i] >= 0) {
-      const auto ref = static_cast<size_t>(sort_ref[i]);
-      tail.sort.push_back({tail.out[ref], desc[i], result.columns[ref]});
-      continue;
-    }
-    const auto col = PackedColOf(*sort_exprs[i]);
-    if (!col.has_value()) return std::nullopt;
-    tail.sort.push_back({*col, desc[i], PackedColName(*col)});
-  }
-  // Every aggregate (select list and sort keys) must be COUNT(DISTINCT
-  // CellValue) for the per-posting-list dedup to be the whole aggregation.
-  for (const AggSpec& a : aggs) {
-    if (a.kind != AggSpec::Kind::kCount || !a.distinct) return std::nullopt;
-    if (a.arg == nullptr || a.arg->kind != BKind::kField ||
-        a.arg->field != Field::kCell) {
-      return std::nullopt;
-    }
-  }
-  if (options.dedup_column >= 0 &&
-      static_cast<size_t>(options.dedup_column) < tail.out.size()) {
-    tail.dedup = options.dedup_column;
-    tail.dedup_limit = options.dedup_limit;
-  }
-  tail.limit = stmt.limit;
-
-  // The TableId IN filter, RowId bound and residual scan predicates (e.g.
-  // the optimizer's `TableId NOT IN (...)` rewrite) are evaluated per record
-  // without materializing anything.
-  auto made = RecordFilter<Store>::Make(spec, store, dict, /*filter_tables=*/true);
-  if (!made.ok()) return std::nullopt;
-  const RecordFilter<Store> filter = made.take();
-
-  // `base[i]` ordinals order group discovery exactly like the generic
-  // pipeline's first-appearance order, which keeps the two paths
-  // byte-identical.
-  const CellMorsels in = MakeCellMorsels(*spec.cell_in, store, dict);
-
-  // Describe mode: the gate has passed and the whole-cell morsel packing is
-  // decided, so report the plan and bail without scanning.
-  if (describe != nullptr) {
-    describe->pipeline = "fused-scan-agg";
-    PlanNode root;
-    root.op = "FusedScanAgg";
-    root.detail = std::string("COUNT(DISTINCT CellValue) GROUP BY TableId") +
-                  (with_column ? ", ColumnId" : "") + "; whole-cell morsels <= " +
-                  std::to_string(kScanMorselRecords) + " records";
-    root.stage = TraceStage::kFusedScan;
-    root.planned_tasks = static_cast<int64_t>(in.morsels.size());
-    describe->nodes.push_back(std::move(root));
-    describe->nodes.push_back(in.DescribeScan(spec));
-    PlanNode top;
-    top.depth = 1;
-    top.op = "PackedTopK";
-    top.detail = tail.Describe(result.columns);
-    top.stage = TraceStage::kAggregationMerge;
-    describe->nodes.push_back(std::move(top));
-    return Result<QueryResult>(std::move(result));
-  }
-
-  std::vector<std::vector<FusedGroup>> parts(in.morsels.size());
-  Status fused_scan = RunTasks(sched, options.control, options.trace,
-                               TraceStage::kFusedScan, in.morsels.size(),
-                               [&](size_t m) {
-    FlatKeyIndex index;
-    std::vector<FusedGroup>& groups_m = parts[m];
-    for (size_t ci = in.morsels[m].begin; ci < in.morsels[m].end; ++ci) {
-      const CellId cell = in.cells[ci];
-      // The packed counters read the posting list in place: the fused path
-      // never materializes positions.
-      const std::span<const RecordPos> list = store.PostingList(cell);
-      for (size_t j = 0; j < list.size(); ++j) {
-        const RecordPos p = list[j];
-        if (!filter.Passes(p)) continue;
-        const uint64_t key =
-            static_cast<uint64_t>(static_cast<uint32_t>(store.table(p))) |
-            (with_column ? static_cast<uint64_t>(
-                               static_cast<uint32_t>(store.column(p)))
-                               << 32
-                         : 0);
-        auto [gi, inserted] =
-            index.FindOrInsert(key, static_cast<uint32_t>(groups_m.size()));
-        if (inserted) {
-          groups_m.push_back({key, in.base[ci] + j, 1, cell});
-        } else {
-          FusedGroup& g = groups_m[gi];
-          if (g.last_cell != cell) {
-            ++g.count;
-            g.last_cell = cell;
-          }
-        }
-      }
-    }
-  });
-  if (!fused_scan.ok()) return Result<QueryResult>(std::move(fused_scan));
-
-  // The tail: merge morsel-local groups in morsel order (group counts are
-  // bounded by tables x columns), rank them packed, and box only the
-  // selected rows.
-  TraceSpan tail_span(options.trace, TraceStage::kAggregationMerge);
-  FlatKeyIndex index(parts.empty() ? 0 : parts[0].size());
-  std::vector<FusedGroup> merged;
-  for (const auto& part : parts) {
-    for (const FusedGroup& g : part) {
-      auto [gi, inserted] =
-          index.FindOrInsert(g.key, static_cast<uint32_t>(merged.size()));
-      if (inserted) {
-        merged.push_back(g);
-        continue;
-      }
-      FusedGroup& into = merged[gi];
-      into.count += g.count;
-      into.first = std::min(into.first, g.first);
-    }
-  }
-  const std::vector<uint32_t> selected = tail.Select(merged);
-  result.rows.reserve(selected.size());
-  for (uint32_t i : selected) {
-    std::vector<SqlValue>& row = result.rows.emplace_back();
-    row.reserve(tail.out.size());
-    for (PackedCol c : tail.out) {
-      row.push_back(SqlValue::Int(PackedValue(merged[i], c)));
-    }
-  }
-  if (options.trace != nullptr) {
-    options.trace->AddRows(TraceStage::kFusedScan,
-                           static_cast<int64_t>(merged.size()));
-    options.trace->AddRows(TraceStage::kAggregationMerge,
-                           static_cast<int64_t>(result.rows.size()));
-  }
-  return Result<QueryResult>(std::move(result));
-}
-
-/// Fused scan->project for the MC phase-1 projection shape (SELECT TableId,
-/// RowId, SuperKey ... WHERE CellValue IN (...)): projects output rows
-/// directly from each decoded posting batch instead of materializing the
-/// position vector first and projecting in a second pass. Supports the same
-/// scan decorations as ScanRel's cell access path (TableId filter, RowId <
-/// bound, residual predicates) and the full ORDER BY / LIMIT / dedup-top-k
-/// tail, so results stay byte-identical to the generic pipeline: morsel
-/// buffers concatenate in canonical scan order (cells ascending, postings in
-/// list order) and the shared SortAndLimit does the rest.
-template <typename Store>
-std::optional<Result<QueryResult>> TryFusedScanProject(
-    const AnalyzedQuery& q, const SelectStmt& stmt, const Store& store,
-    const Dictionary& dict, const QueryOptions& options,
-    PlanDescription* describe) {
-  Scheduler* sched = options.scheduler;
-  if (q.rels.size() != 1 || !q.join_ons.empty() || q.residual_where != nullptr) {
-    return std::nullopt;
-  }
-  if (stmt.select_star || !stmt.group_by.empty()) return std::nullopt;
-  for (const auto& item : stmt.items) {
-    if (Binder::ContainsAggregate(*item.expr)) return std::nullopt;
-  }
-
-  const ScanSpec spec = ClassifyScan(q.rels[0].scan_pred);
-  if (spec.cell_in == nullptr || spec.need_quadrant) return std::nullopt;
-
-  Binder binder(&dict, {q.rels[0].visible});
-  QueryResult result;
-  std::vector<BoundExprPtr> items;
-  for (const auto& item : stmt.items) {
-    auto b = binder.BindRowExpr(*item.expr);
-    if (!b.ok()) return std::nullopt;
-    result.columns.push_back(ItemName(item));
-    items.push_back(b.take());
-  }
-
-  // Order-by, exactly as the generic non-aggregate tail binds it.
-  std::vector<int> sort_ref;
-  std::vector<BoundExprPtr> sort_exprs;
-  std::vector<bool> desc;
-  for (const auto& oi : stmt.order_by) {
-    int ref = -1;
-    if (oi.expr->kind == ExprKind::kColumnRef && oi.expr->table_alias.empty()) {
-      for (size_t i = 0; i < result.columns.size(); ++i) {
-        if (ToLower(result.columns[i]) == ToLower(oi.expr->column)) {
-          ref = static_cast<int>(i);
-          break;
-        }
-      }
-    }
-    sort_ref.push_back(ref);
-    if (ref < 0) {
-      auto b = binder.BindRowExpr(*oi.expr);
-      if (!b.ok()) return std::nullopt;
-      sort_exprs.push_back(b.take());
-    } else {
-      sort_exprs.push_back(nullptr);
-    }
-    desc.push_back(oi.desc);
-  }
-
-  // Scan decorations, mirroring ScanRel's cell access path.
-  auto made = RecordFilter<Store>::Make(spec, store, dict, /*filter_tables=*/true);
-  if (!made.ok()) return std::nullopt;
-  const RecordFilter<Store> filter = made.take();
-
-  // Canonical scan order and the same morsel geometry as ScanRel: whole
-  // posting lists split at kScanMorselRecords boundaries. Here a morsel spans
-  // consecutive cells instead (projection has no per-list state to protect).
-  const CellMorsels in = MakeCellMorsels(*spec.cell_in, store, dict);
-
-  // Describe mode: bail before the memory charge — EXPLAIN must never trip
-  // a budget the real query would only reach by materializing rows.
-  if (describe != nullptr) {
-    describe->pipeline = "fused-scan-project";
-    PlanNode root;
-    root.op = "FusedScanProject";
-    root.detail = std::to_string(items.size()) +
-                  " items projected from posting batches; morsels <= " +
-                  std::to_string(kScanMorselRecords) + " records";
-    root.stage = TraceStage::kFusedProject;
-    root.planned_tasks = static_cast<int64_t>(in.morsels.size());
-    root.est_rows = static_cast<int64_t>(in.postings());
-    describe->nodes.push_back(std::move(root));
-    describe->nodes.push_back(in.DescribeScan(spec));
-    PlanNode tail;
-    tail.depth = 1;
-    tail.op = "SortLimit";
-    tail.detail = std::to_string(stmt.order_by.size()) + " sort keys" +
-                  (stmt.limit >= 0 ? "; limit " + std::to_string(stmt.limit)
-                                   : std::string()) +
-                  (options.dedup_column >= 0
-                       ? "; dedup col " + std::to_string(options.dedup_column) +
-                             " top " + std::to_string(options.dedup_limit)
-                       : std::string());
-    describe->nodes.push_back(std::move(tail));
-    return Result<QueryResult>(std::move(result));
-  }
-
-  // Budget: the output rows are the dominant materialization; charge the
-  // unfiltered upper bound.
-  ScopedMemoryCharge mem(options.control);
-  const size_t width = items.size() + sort_exprs.size();
-  BLEND_RETURN_NOT_OK(mem.ChargeTo(
-      static_cast<int64_t>(in.postings() * width * sizeof(SqlValue))));
-
-  std::vector<std::vector<std::vector<SqlValue>>> row_parts(in.morsels.size());
-  std::vector<std::vector<std::vector<SqlValue>>> sort_parts(in.morsels.size());
-  Status st = RunTasks(sched, options.control, options.trace,
-                       TraceStage::kFusedProject, in.morsels.size(),
-                       [&](size_t m) {
-    for (size_t ci = in.morsels[m].begin; ci < in.morsels[m].end; ++ci) {
-      // Project straight from the posting list; the position vector of the
-      // two-pass pipeline never exists.
-      for (const RecordPos p : store.PostingList(in.cells[ci])) {
-        if (!filter.Passes(p)) continue;
-        RowCtx ctx;
-        ctx.pos[0] = p;
-        auto leaf = [&](const BoundExpr& b) {
-          return FieldValue(store, b.field, ctx.pos[b.side]);
-        };
-        std::vector<SqlValue> vals;
-        vals.reserve(items.size());
-        for (const auto& it : items) vals.push_back(EvalExpr(*it, leaf));
-        if (!stmt.order_by.empty()) {
-          std::vector<SqlValue> sk;
-          for (size_t i = 0; i < sort_exprs.size(); ++i) {
-            sk.push_back(sort_ref[i] >= 0
-                             ? vals[static_cast<size_t>(sort_ref[i])]
-                             : EvalExpr(*sort_exprs[i], leaf));
-          }
-          sort_parts[m].push_back(std::move(sk));
-        }
-        row_parts[m].push_back(std::move(vals));
-      }
-    }
-  });
-  if (!st.ok()) return Result<QueryResult>(std::move(st));
-
-  std::vector<std::vector<SqlValue>> out_rows;
-  std::vector<std::vector<SqlValue>> sort_vals;
-  for (size_t m = 0; m < in.morsels.size(); ++m) {
-    for (auto& v : row_parts[m]) out_rows.push_back(std::move(v));
-    for (auto& v : sort_parts[m]) sort_vals.push_back(std::move(v));
-  }
-  SortAndLimit(&out_rows, &sort_vals, desc, stmt.limit, options);
-  if (options.trace != nullptr) {
-    options.trace->AddRows(TraceStage::kFusedProject,
-                           static_cast<int64_t>(out_rows.size()));
-  }
-  result.rows = std::move(out_rows);
-  return Result<QueryResult>(std::move(result));
-}
+  std::vector<size_t> base;
+  std::vector<Range> morsels;
+};
 
 // ---------------------------------------------------------------------------
 // Key-seek join step. A join step whose ON equates the new relation's
@@ -1567,17 +1151,15 @@ struct KeySeekPlan {
   bool chosen = false;
 };
 
-/// Entry r is engaged when relation r's join step equates (TableId, RowId)
-/// with an earlier relation; `chosen` is the rule's decision. Everything is
-/// disengaged under `enable_key_seek = false`, the planner override
-/// that forces the materialized join. A step whose keys do not bind is not
-/// seekable; the join loop then reports the bind error itself.
+/// Entry r is engaged when relation r's join step (`steps[r - 1]`) equates
+/// (TableId, RowId) with an earlier relation; `chosen` is the rule's
+/// decision. Everything is disengaged under `enable_key_seek = false`, the
+/// planner override that forces the materialized join.
 template <typename Store>
 std::vector<std::optional<KeySeekPlan>> PlanKeySeeks(
-    const AnalyzedQuery& q, const Binder& binder,
-    const std::vector<RelAccess>& access, const Store& store,
-    const QueryOptions& options) {
-  const size_t nrels = q.rels.size();
+    const std::vector<StepKeys>& steps, const std::vector<RelAccess>& access,
+    const Store& store, const QueryOptions& options) {
+  const size_t nrels = access.size();
   std::vector<std::optional<KeySeekPlan>> plans(nrels);
   if (!options.enable_key_seek) return plans;
   // key_class[r]: the first relation of r's (TableId, RowId) equivalence
@@ -1588,11 +1170,9 @@ std::vector<std::optional<KeySeekPlan>> PlanKeySeeks(
     key_class[r] = r;
     class_bound[r] = access[r].records;
   }
-  for (size_t j = 0; j < q.join_ons.size(); ++j) {
+  for (size_t j = 0; j < steps.size(); ++j) {
     const auto side = static_cast<uint8_t>(j + 1);
-    auto keys = ExtractStepKeys(q.join_ons[j], binder, side);
-    const std::optional<uint8_t> key_side =
-        keys.ok() ? KeySeekSide(keys.take()) : std::nullopt;
+    const std::optional<uint8_t> key_side = KeySeekSide(steps[j]);
     if (!key_side.has_value()) continue;
     const size_t c = key_class[*key_side];
     KeySeekPlan p;
@@ -1641,8 +1221,8 @@ struct StepInput {
 template <typename Store>
 Result<StepInput> KeySeek(const RelAccess& a, uint8_t key_side,
                           const std::vector<RowCtx>& rows, const Store& store,
-                          const Dictionary& dict, Scheduler* sched,
-                          const QueryControl* control, QueryTrace* trace) {
+                          Scheduler* sched, const QueryControl* control,
+                          QueryTrace* trace) {
   const char* label = TraceStageName(TraceStage::kKeySeek);
   if (trace != nullptr) trace->AddCounter(TraceCounter::kKeySeekSteps, 1);
 
@@ -1663,10 +1243,8 @@ Result<StepInput> KeySeek(const RelAccess& a, uint8_t key_side,
 
   // The TableId IN-list, when present, was the access path of a relation
   // without cells; here it filters.
-  BLEND_ASSIGN_OR_RETURN(
-      const auto filter,
-      RecordFilter<Store>::Make(a.spec, store, dict, /*filter_tables=*/true,
-                                a.posting_backed() ? &a.cells : nullptr));
+  const RecordFilter<Store> filter(a, store, /*filter_tables=*/true,
+                                  /*filter_cells=*/a.posting_backed());
   const size_t num_tasks = (keys.size() + kKeySeekChunkKeys - 1) / kKeySeekChunkKeys;
   std::vector<std::vector<RecordPos>> parts(num_tasks);
   BLEND_RETURN_NOT_OK(RunTasks(num_tasks > 1 ? sched : nullptr, control, trace,
@@ -1725,11 +1303,20 @@ Result<StepInput> KeySeek(const RelAccess& a, uint8_t key_side,
 }
 
 // ---------------------------------------------------------------------------
-// Describe mode for the generic pipeline. The fused paths describe themselves
-// at their gate (they know their geometry before running); the generic
-// pipeline's plan is derived here from scan metadata and chunk-size
-// constants only — describe must not run ScanRel, join, or charge budgets.
+// Plan rendering. Describe reads the planned statement only — scan metadata,
+// the key-seek decisions and chunk-size constants — and never scans, joins,
+// or charges budgets.
 // ---------------------------------------------------------------------------
+
+/// Filter suffix of a scan node's detail: the RowId bound and residual count.
+std::string FilterDetail(const ScanSpec& spec) {
+  std::string out;
+  if (spec.row_lt >= 0) out += "; RowId < " + std::to_string(spec.row_lt);
+  if (!spec.residual.empty()) {
+    out += "; " + std::to_string(spec.residual.size()) + " residual preds";
+  }
+  return out;
+}
 
 /// "seek N < scan M records" (sought) or "seek N >= scan M records"
 /// (scanned): the comparison the key-seek rule made for a posting-backed
@@ -1791,20 +1378,228 @@ PlanNode DescribeKeySeekNode(const RelAccess& a, size_t r, const KeySeekPlan& p,
   return node;
 }
 
-/// Populates `describe` with the generic pipeline's operator tree. Task
-/// counts that follow the joined row count (filter/projection/aggregation
-/// chunks) stay unknown (-1) with the chunk size in the detail text; scans
-/// report their exact planned morsel counts.
+}  // namespace
+
+/// The planned statement: everything PlanSelect bound and resolved, and the
+/// root it chose — the fused aggregate when `fused` is engaged, else the
+/// generic pipeline (scans or key seeks, the join chain, the residual WHERE,
+/// then projection or aggregation into the shared SortAndLimit tail).
 template <typename Store>
-void DescribeGenericPipeline(const AnalyzedQuery& q, const SelectStmt& stmt,
-                             const Store& store, const Dictionary& dict,
-                             const QueryOptions& options,
-                             PlanDescription* describe) {
-  describe->pipeline = "generic";
-  bool has_agg = !stmt.group_by.empty();
+struct PlannedSelect<Store>::Impl {
+  Impl(const SelectStmt& s, const Store& st, const Dictionary& d, const QueryOptions& o)
+      : stmt(s), store(st), dict(d), options(o) {}
+
+  const SelectStmt& stmt;
+  const Store& store;
+  const Dictionary& dict;
+  const QueryOptions options;
+
+  AnalyzedQuery q;
+  std::vector<RelAccess> access;  // one per relation
+  std::vector<StepKeys> steps;    // steps[j] joins relation j + 1
+  std::vector<std::optional<KeySeekPlan>> seeks;
+  BoundExprPtr residual_where;    // null when the WHERE was pushed into scans
+  bool has_agg = false;
+  std::vector<std::string> columns;
+  std::vector<BoundExprPtr> items;
+  std::vector<BoundExprPtr> keys;  // GROUP BY
+  std::vector<AggSpec> aggs;
+  SortSpec sort;
+  std::optional<FusedAggPlan> fused;
+
+  Status Bind();
+  std::optional<FusedAggPlan> PlanFusedAgg() const;
+  PlanDescription Describe() const;
+  Result<QueryResult> RunFusedAgg() const;
+  Result<QueryResult> RunGeneric() const;
+};
+
+/// Resolves every relation's access path, binds the join keys, residual
+/// WHERE, select list, group keys, aggregates and ORDER BY keys, and plans
+/// the key seeks. Bind errors surface here, before anything runs.
+template <typename Store>
+Status PlannedSelect<Store>::Impl::Bind() {
+  for (const auto& rel : q.rels) {
+    BLEND_ASSIGN_OR_RETURN(RelAccess a, ResolveAccess(rel, store, dict));
+    access.push_back(std::move(a));
+  }
+  std::vector<Binder::RelColumns> rel_cols;
+  for (const auto& rel : q.rels) rel_cols.push_back(rel.visible);
+  const Binder binder(&dict, std::move(rel_cols));
+  for (size_t j = 0; j < q.join_ons.size(); ++j) {
+    BLEND_ASSIGN_OR_RETURN(
+        StepKeys k, ExtractStepKeys(q.join_ons[j], binder, static_cast<uint8_t>(j + 1)));
+    steps.push_back(std::move(k));
+  }
+  seeks = PlanKeySeeks(steps, access, store, options);
+  if (q.residual_where != nullptr) {
+    BLEND_ASSIGN_OR_RETURN(residual_where, binder.BindRowExpr(*q.residual_where));
+  }
+
+  has_agg = !stmt.group_by.empty();
   for (const auto& item : stmt.items) {
     if (Binder::ContainsAggregate(*item.expr)) has_agg = true;
   }
+  auto bind = [&](const Expr& e) {
+    return has_agg ? binder.BindAggExpr(e, keys, &aggs) : binder.BindRowExpr(e);
+  };
+  if (stmt.select_star) {
+    if (has_agg) return Status::PlanError("SELECT * with GROUP BY is not supported");
+    // Expose canonical fields; prefix with the alias in a join.
+    for (size_t s = 0; s < q.rels.size(); ++s) {
+      for (int fi = 0; fi < kNumFields; ++fi) {
+        Field f = static_cast<Field>(fi);
+        auto b = std::make_unique<BoundExpr>();
+        b->kind = BKind::kField;
+        b->side = static_cast<uint8_t>(s);
+        b->field = f;
+        std::string name = FieldName(f);
+        if (q.rels.size() == 2) {
+          std::string prefix =
+              q.rels[s].visible.alias.empty() ? ("t" + std::to_string(s))
+                                              : q.rels[s].visible.alias;
+          name = prefix + "." + name;
+        }
+        columns.push_back(std::move(name));
+        items.push_back(std::move(b));
+      }
+    }
+  }
+  for (const auto& g : stmt.group_by) {
+    BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*g));
+    keys.push_back(std::move(b));
+  }
+  for (const auto& item : stmt.items) {
+    BLEND_ASSIGN_OR_RETURN(auto b, bind(*item.expr));
+    columns.push_back(ItemName(item));
+    items.push_back(std::move(b));
+  }
+  // ORDER BY: a bare name of an output column refers to it; anything else
+  // binds in the select list's context.
+  for (const auto& oi : stmt.order_by) {
+    int ref = -1;
+    if (oi.expr->kind == ExprKind::kColumnRef && oi.expr->table_alias.empty()) {
+      for (size_t i = 0; i < columns.size() && ref < 0; ++i) {
+        if (ToLower(columns[i]) == ToLower(oi.expr->column)) ref = static_cast<int>(i);
+      }
+    }
+    sort.ref.push_back(ref);
+    sort.desc.push_back(oi.desc);
+    if (ref >= 0) {
+      sort.exprs.push_back(nullptr);
+      continue;
+    }
+    BLEND_ASSIGN_OR_RETURN(auto b, bind(*oi.expr));
+    sort.exprs.push_back(std::move(b));
+  }
+  return Status::OK();
+}
+
+/// The fused aggregate's plan when the bound statement has its shape — one
+/// posting-backed relation without a Quadrant predicate or residual WHERE,
+/// grouped by TableId[, ColumnId], every select item and sort key a group
+/// key or an aggregate, every aggregate COUNT(DISTINCT CellValue) — else
+/// nullopt.
+template <typename Store>
+std::optional<FusedAggPlan> PlannedSelect<Store>::Impl::PlanFusedAgg() const {
+  if (access.size() != 1 || residual_where != nullptr || stmt.select_star ||
+      keys.empty() || keys.size() > 2) {
+    return std::nullopt;
+  }
+  const RelAccess& a = access[0];
+  if (!a.posting_backed() || a.spec.need_quadrant) return std::nullopt;
+  auto is_field = [&](size_t k, Field f) {
+    return keys[k]->kind == BKind::kField && keys[k]->field == f;
+  };
+  if (!is_field(0, Field::kTable) || (keys.size() == 2 && !is_field(1, Field::kColumn))) {
+    return std::nullopt;
+  }
+  // Every aggregate (select list and sort keys) must be COUNT(DISTINCT
+  // CellValue) for the per-posting-list dedup to be the whole aggregation.
+  for (const AggSpec& s : aggs) {
+    if (s.kind != AggSpec::Kind::kCount || !s.distinct || s.arg == nullptr ||
+        s.arg->kind != BKind::kField || s.arg->field != Field::kCell) {
+      return std::nullopt;
+    }
+  }
+  FusedAggPlan f;
+  f.with_column = keys.size() == 2;
+  for (const auto& item : items) {
+    const auto col = PackedColOf(*item);
+    if (!col.has_value()) return std::nullopt;
+    f.tail.out.push_back(*col);
+  }
+  for (size_t i = 0; i < sort.desc.size(); ++i) {
+    if (sort.ref[i] >= 0) {
+      const auto ref = static_cast<size_t>(sort.ref[i]);
+      f.tail.sort.push_back({f.tail.out[ref], sort.desc[i], columns[ref]});
+      continue;
+    }
+    const auto col = PackedColOf(*sort.exprs[i]);
+    if (!col.has_value()) return std::nullopt;
+    f.tail.sort.push_back({*col, sort.desc[i], PackedColName(*col)});
+  }
+  if (options.dedup_column >= 0 &&
+      static_cast<size_t>(options.dedup_column) < f.tail.out.size()) {
+    f.tail.dedup = options.dedup_column;
+    f.tail.dedup_limit = options.dedup_limit;
+  }
+  f.tail.limit = stmt.limit;
+
+  const std::vector<CellId>& cells = a.cells;
+  f.base.assign(cells.size() + 1, 0);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    f.base[i + 1] = f.base[i] + store.PostingCount(cells[i]);
+  }
+  size_t mb = 0;
+  while (mb < cells.size()) {
+    size_t me = mb + 1;
+    while (me < cells.size() && f.base[me + 1] - f.base[mb] <= kScanMorselRecords) {
+      ++me;
+    }
+    f.morsels.push_back({mb, me});
+    mb = me;
+  }
+  return f;
+}
+
+/// The operator tree: the fused aggregate over its posting scan and packed
+/// tail, or the generic pipeline's root, tail, filter, join steps and one
+/// scan or key seek per relation. Task counts that follow the joined row
+/// count (filter/projection/aggregation chunks) stay unknown (-1) with the
+/// chunk size in the detail text; scans report their exact morsel counts.
+template <typename Store>
+PlanDescription PlannedSelect<Store>::Impl::Describe() const {
+  PlanDescription d;
+  if (fused.has_value()) {
+    const RelAccess& a = access[0];
+    d.pipeline = "fused-scan-agg";
+    PlanNode root;
+    root.op = "FusedScanAgg";
+    root.detail = std::string("COUNT(DISTINCT CellValue) GROUP BY TableId") +
+                  (fused->with_column ? ", ColumnId" : "") + "; whole-cell morsels <= " +
+                  std::to_string(kScanMorselRecords) + " records";
+    root.stage = TraceStage::kFusedScan;
+    root.planned_tasks = static_cast<int64_t>(fused->morsels.size());
+    d.nodes.push_back(std::move(root));
+    PlanNode scan;
+    scan.depth = 1;
+    scan.op = "PostingScan";
+    scan.detail = std::to_string(a.cells.size()) + " cells";
+    if (a.spec.table_in != nullptr) scan.detail += "; TableId filter";
+    scan.detail += FilterDetail(a.spec);
+    scan.est_rows = static_cast<int64_t>(fused->base.back());
+    d.nodes.push_back(std::move(scan));
+    PlanNode top;
+    top.depth = 1;
+    top.op = "PackedTopK";
+    top.detail = fused->tail.Describe(columns);
+    top.stage = TraceStage::kAggregationMerge;
+    d.nodes.push_back(std::move(top));
+    return d;
+  }
+
+  d.pipeline = "generic";
   PlanNode root;
   if (has_agg) {
     root.op = "Aggregate";
@@ -1820,36 +1615,33 @@ void DescribeGenericPipeline(const AnalyzedQuery& q, const SelectStmt& stmt,
                        : std::to_string(stmt.items.size()) + " items") +
                   "; " + std::to_string(kAggChunkRows) + "-row chunks";
   }
-  describe->nodes.push_back(std::move(root));
-  if (!stmt.order_by.empty() || stmt.limit >= 0 || options.dedup_column >= 0) {
-    PlanNode sort;
-    sort.depth = 1;
-    sort.op = "SortLimit";
-    sort.detail = std::to_string(stmt.order_by.size()) + " sort keys" +
+  d.nodes.push_back(std::move(root));
+  // SortAndLimit applies the dedup spec only to a column the rows have.
+  const bool dedup = options.dedup_column >= 0 &&
+                     static_cast<size_t>(options.dedup_column) < columns.size();
+  if (!stmt.order_by.empty() || stmt.limit >= 0 || dedup) {
+    PlanNode tail;
+    tail.depth = 1;
+    tail.op = "SortLimit";
+    tail.detail = std::to_string(stmt.order_by.size()) + " sort keys" +
                   (stmt.limit >= 0 ? "; limit " + std::to_string(stmt.limit)
                                    : std::string()) +
-                  (options.dedup_column >= 0
+                  (dedup
                        ? "; dedup col " + std::to_string(options.dedup_column) +
                              " top " + std::to_string(options.dedup_limit)
                        : std::string());
-    describe->nodes.push_back(std::move(sort));
+    d.nodes.push_back(std::move(tail));
   }
-  if (q.residual_where != nullptr) {
+  if (residual_where != nullptr) {
     PlanNode filter;
     filter.depth = 1;
     filter.op = "Filter";
     filter.stage = TraceStage::kFilter;
     filter.detail =
         "residual WHERE; " + std::to_string(kAggChunkRows) + "-row chunks";
-    describe->nodes.push_back(std::move(filter));
+    d.nodes.push_back(std::move(filter));
   }
-  std::vector<Binder::RelColumns> rel_cols;
-  for (const auto& rel : q.rels) rel_cols.push_back(rel.visible);
-  const Binder binder(&dict, rel_cols);
-  std::vector<RelAccess> access;
-  for (const auto& rel : q.rels) access.push_back(ResolveAccess(rel, store, dict));
-  const auto seeks = PlanKeySeeks(q, binder, access, store, options);
-  for (size_t j = 0; j < q.join_ons.size(); ++j) {
+  for (size_t j = 0; j < steps.size(); ++j) {
     PlanNode join;
     join.depth = 1;
     join.op = "HashJoin";
@@ -1857,19 +1649,18 @@ void DescribeGenericPipeline(const AnalyzedQuery& q, const SelectStmt& stmt,
     join.detail = "step " + std::to_string(j + 1) +
                   "; build side chosen by size at run time; probe chunk=" +
                   std::to_string(kScanMorselRecords) + " rows";
-    describe->nodes.push_back(std::move(join));
+    d.nodes.push_back(std::move(join));
     PlanNode build;
     build.depth = 2;
     build.op = "HashBuild";
     build.stage = TraceStage::kJoinBuild;
     build.detail = "smaller input of step " + std::to_string(j + 1);
-    describe->nodes.push_back(std::move(build));
+    d.nodes.push_back(std::move(build));
   }
-  const int scan_depth = q.rels.size() > 1 ? 2 : 1;
-  for (size_t r = 0; r < q.rels.size(); ++r) {
+  const int scan_depth = access.size() > 1 ? 2 : 1;
+  for (size_t r = 0; r < access.size(); ++r) {
     if (seeks[r].has_value() && seeks[r]->chosen) {
-      describe->nodes.push_back(
-          DescribeKeySeekNode(access[r], r, *seeks[r], scan_depth));
+      d.nodes.push_back(DescribeKeySeekNode(access[r], r, *seeks[r], scan_depth));
       continue;
     }
     PlanNode scan = DescribeScanNode(access[r], store, scan_depth);
@@ -1877,67 +1668,119 @@ void DescribeGenericPipeline(const AnalyzedQuery& q, const SelectStmt& stmt,
     if (seeks[r].has_value()) {
       scan.detail += "; key seek declined: " + SeekRuleDetail(*seeks[r]);
     }
-    describe->nodes.push_back(std::move(scan));
+    d.nodes.push_back(std::move(scan));
   }
+  return d;
 }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// The fused scan->aggregate operator's run (see FusedGroup).
+// ---------------------------------------------------------------------------
 
-/// The one implementation behind ExecuteSelect and DescribeSelect. A null
-/// `describe` executes normally; a non-null one makes every pipeline bail
-/// with its plan right after its dispatch gate passes, so EXPLAIN reports
-/// exactly the path execution would take.
 template <typename Store>
-Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
-                                      const Store& store,
-                                      const Dictionary& dict,
-                                      const QueryOptions& options,
-                                      PlanDescription* describe) {
-  BLEND_ASSIGN_OR_RETURN(AnalyzedQuery q, Analyze(stmt));
+Result<QueryResult> PlannedSelect<Store>::Impl::RunFusedAgg() const {
+  const FusedAggPlan& f = *fused;
+  const std::vector<CellId>& cells = access[0].cells;
+  // The TableId IN filter, RowId bound and residual scan predicates (e.g.
+  // the optimizer's `TableId NOT IN (...)` rewrite) are evaluated per record
+  // without materializing anything.
+  const RecordFilter<Store> filter(access[0], store, /*filter_tables=*/true);
+
+  std::vector<std::vector<FusedGroup>> parts(f.morsels.size());
+  BLEND_RETURN_NOT_OK(RunTasks(options.scheduler, options.control, options.trace,
+                               TraceStage::kFusedScan, f.morsels.size(),
+                               [&](size_t m) {
+    FlatKeyIndex index;
+    std::vector<FusedGroup>& groups_m = parts[m];
+    for (size_t ci = f.morsels[m].begin; ci < f.morsels[m].end; ++ci) {
+      const CellId cell = cells[ci];
+      // The packed counters read the posting list in place: the fused path
+      // never materializes positions.
+      const std::span<const RecordPos> list = store.PostingList(cell);
+      for (size_t j = 0; j < list.size(); ++j) {
+        const RecordPos p = list[j];
+        if (!filter.Passes(p)) continue;
+        const uint64_t key =
+            static_cast<uint64_t>(static_cast<uint32_t>(store.table(p))) |
+            (f.with_column ? static_cast<uint64_t>(
+                                 static_cast<uint32_t>(store.column(p)))
+                                 << 32
+                           : 0);
+        auto [gi, inserted] =
+            index.FindOrInsert(key, static_cast<uint32_t>(groups_m.size()));
+        if (inserted) {
+          groups_m.push_back({key, f.base[ci] + j, 1, cell});
+        } else {
+          FusedGroup& g = groups_m[gi];
+          if (g.last_cell != cell) {
+            ++g.count;
+            g.last_cell = cell;
+          }
+        }
+      }
+    }
+  }));
+
+  // The tail: merge morsel-local groups in morsel order (group counts are
+  // bounded by tables x columns), rank them packed, and box only the
+  // selected rows.
+  TraceSpan tail_span(options.trace, TraceStage::kAggregationMerge);
+  FlatKeyIndex index(parts.empty() ? 0 : parts[0].size());
+  std::vector<FusedGroup> merged;
+  for (const auto& part : parts) {
+    for (const FusedGroup& g : part) {
+      auto [gi, inserted] =
+          index.FindOrInsert(g.key, static_cast<uint32_t>(merged.size()));
+      if (inserted) {
+        merged.push_back(g);
+        continue;
+      }
+      FusedGroup& into = merged[gi];
+      into.count += g.count;
+      into.first = std::min(into.first, g.first);
+    }
+  }
+  QueryResult result;
+  result.columns = columns;
+  const std::vector<uint32_t> selected = f.tail.Select(merged);
+  result.rows.reserve(selected.size());
+  for (uint32_t i : selected) {
+    std::vector<SqlValue>& row = result.rows.emplace_back();
+    row.reserve(f.tail.out.size());
+    for (PackedCol c : f.tail.out) {
+      row.push_back(SqlValue::Int(PackedValue(merged[i], c)));
+    }
+  }
+  if (options.trace != nullptr) {
+    options.trace->AddRows(TraceStage::kFusedScan,
+                           static_cast<int64_t>(merged.size()));
+    options.trace->AddRows(TraceStage::kAggregationMerge,
+                           static_cast<int64_t>(result.rows.size()));
+  }
+  return result;
+}
+
+/// The generic pipeline: scans or key seeks, the join chain, the residual
+/// WHERE, then projection or aggregation into the shared SortAndLimit tail.
+template <typename Store>
+Result<QueryResult> PlannedSelect<Store>::Impl::RunGeneric() const {
   Scheduler* sched = options.scheduler;
   const QueryControl* control = options.control;
   QueryTrace* trace = options.trace;
-  BLEND_RETURN_NOT_OK(CheckControl(control, "query start"));
-
-  // Fused fast paths for the dominant seeker shapes.
-  if (options.enable_fused_scan_agg) {
-    if (auto fused = TryFusedScanAgg(q, stmt, store, dict, options, describe)) {
-      return std::move(*fused);
-    }
-    if (auto fused =
-            TryFusedScanProject(q, stmt, store, dict, options, describe)) {
-      return std::move(*fused);
-    }
-  }
-
-  // Generic pipeline chosen. Describe mode reports it from metadata alone.
-  if (describe != nullptr) {
-    DescribeGenericPipeline(q, stmt, store, dict, options, describe);
-    return QueryResult{};
-  }
 
   // Budget accounting covers the pipeline's dominant materializations (scan
   // position vectors, the joined row stream); the estimates are peak live
   // bytes, released when the query finishes.
   ScopedMemoryCharge mem(control);
 
-  // Binder over the visible (outer) schema.
-  std::vector<Binder::RelColumns> rel_cols;
-  for (const auto& rel : q.rels) rel_cols.push_back(rel.visible);
-  Binder binder(&dict, rel_cols);
-
   // 1. Scans. A relation the planner seeks is not scanned up front; its
   // step seeks it once the prefix is known.
-  std::vector<RelAccess> access;
-  for (const auto& rel : q.rels) access.push_back(ResolveAccess(rel, store, dict));
-  const auto seeks = PlanKeySeeks(q, binder, access, store, options);
   auto sought = [&](size_t r) { return seeks[r].has_value() && seeks[r]->chosen; };
   std::vector<std::vector<RecordPos>> scans(q.rels.size());
   int64_t scan_bytes = 0;
   for (size_t r = 0; r < q.rels.size(); ++r) {
     if (sought(r)) continue;
-    BLEND_ASSIGN_OR_RETURN(scans[r],
-                           ScanRel(access[r], store, dict, sched, control, trace));
+    BLEND_ASSIGN_OR_RETURN(scans[r], ScanRel(access[r], store, sched, control, trace));
     scan_bytes += static_cast<int64_t>(scans[r].size() * sizeof(RecordPos));
     BLEND_RETURN_NOT_OK(mem.ChargeTo(scan_bytes));
   }
@@ -1952,24 +1795,22 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
   }
   BLEND_RETURN_NOT_OK(
       mem.ChargeTo(scan_bytes + static_cast<int64_t>(rows.size() * sizeof(RowCtx))));
-  for (size_t j = 0; j < q.join_ons.size(); ++j) {
+  for (size_t j = 0; j < steps.size(); ++j) {
     const uint8_t step_side = static_cast<uint8_t>(j + 1);
-    BLEND_ASSIGN_OR_RETURN(StepKeys keys,
-                           ExtractStepKeys(q.join_ons[j], binder, step_side));
     std::vector<RecordPos>& scan = scans[step_side];
     bool build_on_scan = scan.size() <= rows.size();
     if (sought(step_side)) {
       BLEND_ASSIGN_OR_RETURN(
           StepInput in,
           KeySeek(access[step_side], seeks[step_side]->key_side, rows, store,
-                  dict, sched, control, trace));
+                  sched, control, trace));
       scan = std::move(in.positions);
       build_on_scan = in.build_on_scan;
       scan_bytes += static_cast<int64_t>(scan.size() * sizeof(RecordPos));
       BLEND_RETURN_NOT_OK(mem.ChargeTo(
           scan_bytes + static_cast<int64_t>(rows.size() * sizeof(RowCtx))));
     }
-    BLEND_ASSIGN_OR_RETURN(rows, HashJoinStep(store, rows, scan, keys, step_side,
+    BLEND_ASSIGN_OR_RETURN(rows, HashJoinStep(store, rows, scan, steps[j], step_side,
                                               build_on_scan, sched, control, trace));
     BLEND_RETURN_NOT_OK(mem.ChargeTo(
         scan_bytes + static_cast<int64_t>(rows.size() * sizeof(RowCtx))));
@@ -1978,8 +1819,8 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
   // 3. Residual WHERE, chunk-parallel: per-chunk surviving-row buffers
   // concatenated in chunk order keep the row stream identical to a serial
   // filter loop.
-  if (q.residual_where != nullptr) {
-    BLEND_ASSIGN_OR_RETURN(auto pred, binder.BindRowExpr(*q.residual_where));
+  if (residual_where != nullptr) {
+    const BoundExpr& pred = *residual_where;
     const size_t n = rows.size();
     const size_t num_chunks = (n + kAggChunkRows - 1) / kAggChunkRows;
     std::vector<std::vector<RowCtx>> parts(num_chunks);
@@ -1990,7 +1831,7 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
       std::vector<RowCtx>& kept = parts[c];
       for (size_t i = b; i < e; ++i) {
         const RowCtx& ctx = rows[i];
-        SqlValue v = EvalExpr(*pred, [&](const BoundExpr& bx) {
+        SqlValue v = EvalExpr(pred, [&](const BoundExpr& bx) {
           return FieldValue(store, bx.field, ctx.pos[bx.side]);
         });
         if (v.IsTruthy()) kept.push_back(ctx);
@@ -1999,83 +1840,15 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
     rows = ConcatParts(std::move(parts));
   }
 
-  // 4. Select list preparation.
   QueryResult result;
-  bool has_agg = !stmt.group_by.empty();
-  for (const auto& item : stmt.items) {
-    if (Binder::ContainsAggregate(*item.expr)) has_agg = true;
-  }
-
-  // SELECT * expansion (non-aggregate only).
-  std::vector<std::pair<std::string, BoundExprPtr>> star_items;
-  if (stmt.select_star) {
-    if (has_agg) return Status::PlanError("SELECT * with GROUP BY is not supported");
-    for (size_t s = 0; s < q.rels.size(); ++s) {
-      // Expose canonical fields; prefix with the alias in a join.
-      for (int fi = 0; fi < kNumFields; ++fi) {
-        Field f = static_cast<Field>(fi);
-        auto b = std::make_unique<BoundExpr>();
-        b->kind = BKind::kField;
-        b->side = static_cast<uint8_t>(s);
-        b->field = f;
-        std::string name = FieldName(f);
-        if (q.rels.size() == 2) {
-          std::string prefix =
-              q.rels[s].visible.alias.empty() ? ("t" + std::to_string(s))
-                                              : q.rels[s].visible.alias;
-          name = prefix + "." + name;
-        }
-        star_items.emplace_back(std::move(name), std::move(b));
-      }
-    }
-  }
-
+  result.columns = columns;
   auto row_leaf = [&](const RowCtx& ctx) {
-    return [&store, ctx](const BoundExpr& b) {
+    return [this, ctx](const BoundExpr& b) {
       return FieldValue(store, b.field, ctx.pos[b.side]);
     };
   };
 
   if (!has_agg) {
-    // ---- Non-aggregate projection ----
-    std::vector<BoundExprPtr> items;
-    if (stmt.select_star) {
-      for (auto& [name, b] : star_items) {
-        result.columns.push_back(name);
-        items.push_back(std::move(b));
-      }
-    } else {
-      for (const auto& item : stmt.items) {
-        BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*item.expr));
-        result.columns.push_back(ItemName(item));
-        items.push_back(std::move(b));
-      }
-    }
-
-    // Order-by: alias references resolve to output columns; otherwise bind.
-    std::vector<int> sort_ref;
-    std::vector<BoundExprPtr> sort_exprs;
-    std::vector<bool> desc;
-    for (const auto& oi : stmt.order_by) {
-      int ref = -1;
-      if (oi.expr->kind == ExprKind::kColumnRef && oi.expr->table_alias.empty()) {
-        for (size_t i = 0; i < result.columns.size(); ++i) {
-          if (ToLower(result.columns[i]) == ToLower(oi.expr->column)) {
-            ref = static_cast<int>(i);
-            break;
-          }
-        }
-      }
-      sort_ref.push_back(ref);
-      if (ref < 0) {
-        BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*oi.expr));
-        sort_exprs.push_back(std::move(b));
-      } else {
-        sort_exprs.push_back(nullptr);
-      }
-      desc.push_back(oi.desc);
-    }
-
     // Chunk-parallel projection: per-chunk buffers concatenated in chunk
     // order reproduce the serial row order exactly.
     const size_t n = rows.size();
@@ -2092,14 +1865,7 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
         std::vector<SqlValue> vals;
         vals.reserve(items.size());
         for (const auto& it : items) vals.push_back(EvalExpr(*it, leaf));
-        if (!stmt.order_by.empty()) {
-          std::vector<SqlValue> sk;
-          for (size_t i = 0; i < sort_exprs.size(); ++i) {
-            sk.push_back(sort_ref[i] >= 0 ? vals[static_cast<size_t>(sort_ref[i])]
-                                          : EvalExpr(*sort_exprs[i], leaf));
-          }
-          sort_parts[c].push_back(std::move(sk));
-        }
+        if (!stmt.order_by.empty()) sort_parts[c].push_back(SortKeys(sort, vals, leaf));
         row_parts[c].push_back(std::move(vals));
       }
     }));
@@ -2110,33 +1876,12 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
       for (auto& v : row_parts[c]) out_rows.push_back(std::move(v));
       for (auto& v : sort_parts[c]) sort_vals.push_back(std::move(v));
     }
-    SortAndLimit(&out_rows, &sort_vals, desc, stmt.limit, options);
+    SortAndLimit(&out_rows, &sort_vals, sort.desc, stmt.limit, options);
     result.rows = std::move(out_rows);
     return result;
   }
 
-  // ---- Aggregation ----
-  std::vector<BoundExprPtr> key_exprs;
-  for (const auto& g : stmt.group_by) {
-    BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*g));
-    key_exprs.push_back(std::move(b));
-  }
-
-  std::vector<AggSpec> aggs;
-  std::vector<BoundExprPtr> items;
-  for (const auto& item : stmt.items) {
-    BLEND_ASSIGN_OR_RETURN(auto b, binder.BindAggExpr(*item.expr, key_exprs, &aggs));
-    result.columns.push_back(ItemName(item));
-    items.push_back(std::move(b));
-  }
-
-  // Order-by in aggregate context.
-  std::vector<int> sort_ref;
-  std::vector<BoundExprPtr> sort_exprs;
-  std::vector<bool> desc;
-  BLEND_RETURN_NOT_OK(BindAggOrderBy(stmt, binder, key_exprs, &aggs, result.columns,
-                                     &sort_ref, &sort_exprs, &desc));
-
+  // Aggregation.
   struct Group {
     std::vector<SqlValue> keys;
     std::vector<AggState> states;
@@ -2168,10 +1913,10 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
     int width;
   };
   std::vector<PackedField> packed;
-  bool packable = !key_exprs.empty();
+  bool packable = !keys.empty();
   {
     int shift = 0;
-    for (const auto& ke : key_exprs) {
+    for (const auto& ke : keys) {
       int width = 0;
       if (ke->kind == BKind::kField) {
         switch (ke->field) {
@@ -2317,9 +2062,9 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
         const RowCtx& ctx = rows[r];
         auto leaf = row_leaf(ctx);
         std::vector<SqlValue> key;
-        key.reserve(key_exprs.size());
+        key.reserve(keys.size());
         uint64_t h = 0x13198A2E03707344ULL;
-        for (const auto& ke : key_exprs) {
+        for (const auto& ke : keys) {
           key.push_back(EvalExpr(*ke, leaf));
           h = HashCombine(h, key.back().Hash());
         }
@@ -2418,42 +2163,48 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
     }
     out_groups.push_back(std::move(og));
   }
-  EmitGroups(out_groups, items, sort_ref, sort_exprs, desc, stmt, options, &result);
+  EmitGroups(out_groups, items, sort, stmt, options, &result);
   return result;
 }
 
 template <typename Store>
-Result<QueryResult> ExecuteSelect(const SelectStmt& stmt, const Store& store,
-                                  const Dictionary& dict,
-                                  const QueryOptions& options) {
-  return ExecuteOrDescribe(stmt, store, dict, options, nullptr);
+PlannedSelect<Store>::PlannedSelect(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
+template <typename Store>
+PlannedSelect<Store>::PlannedSelect(PlannedSelect&&) noexcept = default;
+template <typename Store>
+PlannedSelect<Store>::~PlannedSelect() = default;
+
+template <typename Store>
+PlanDescription PlannedSelect<Store>::Describe() const {
+  return impl_->Describe();
 }
 
 template <typename Store>
-Result<PlanDescription> DescribeSelect(const SelectStmt& stmt,
-                                       const Store& store,
-                                       const Dictionary& dict,
-                                       const QueryOptions& options) {
-  PlanDescription plan;
-  auto r = ExecuteOrDescribe(stmt, store, dict, options, &plan);
-  if (!r.ok()) return r.status();
-  return plan;
+Result<QueryResult> PlannedSelect<Store>::Execute() const {
+  return impl_->fused.has_value() ? impl_->RunFusedAgg() : impl_->RunGeneric();
 }
 
-template Result<QueryResult> ExecuteSelect<RowStore>(const SelectStmt&,
-                                                     const RowStore&,
-                                                     const Dictionary&,
-                                                     const QueryOptions&);
-template Result<QueryResult> ExecuteSelect<ColumnStore>(const SelectStmt&,
-                                                        const ColumnStore&,
-                                                        const Dictionary&,
-                                                        const QueryOptions&);
-template Result<PlanDescription> DescribeSelect<RowStore>(const SelectStmt&,
-                                                          const RowStore&,
-                                                          const Dictionary&,
-                                                          const QueryOptions&);
-template Result<PlanDescription> DescribeSelect<ColumnStore>(
-    const SelectStmt&, const ColumnStore&, const Dictionary&,
-    const QueryOptions&);
+template <typename Store>
+Result<PlannedSelect<Store>> PlanSelect(const SelectStmt& stmt, const Store& store,
+                                        const Dictionary& dict,
+                                        const QueryOptions& options) {
+  using Impl = typename PlannedSelect<Store>::Impl;
+  auto plan = std::make_unique<Impl>(stmt, store, dict, options);
+  BLEND_ASSIGN_OR_RETURN(plan->q, Analyze(stmt));
+  BLEND_RETURN_NOT_OK(CheckControl(options.control, "query start"));
+  BLEND_RETURN_NOT_OK(plan->Bind());
+  if (options.enable_fused_scan_agg) plan->fused = plan->PlanFusedAgg();
+  return PlannedSelect<Store>(std::move(plan));
+}
+
+template class PlannedSelect<RowStore>;
+template class PlannedSelect<ColumnStore>;
+template Result<PlannedSelect<RowStore>> PlanSelect(const SelectStmt&, const RowStore&,
+                                                    const Dictionary&,
+                                                    const QueryOptions&);
+template Result<PlannedSelect<ColumnStore>> PlanSelect(const SelectStmt&,
+                                                       const ColumnStore&,
+                                                       const Dictionary&,
+                                                       const QueryOptions&);
 
 }  // namespace blend::sql

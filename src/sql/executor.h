@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,11 +47,11 @@ struct QueryOptions {
   /// the pool: morsel geometry depends only on input sizes, morsel outputs
   /// are concatenated in morsel order, and merge order is fixed.
   Scheduler* scheduler = nullptr;
-  /// Enables the fused scan->aggregate operator for the SC/KW seeker shape
+  /// Planner override for the fused scan->aggregate operator: the planner
+  /// picks it whenever the bound statement has the SC/KW seeker shape
   /// (COUNT(DISTINCT CellValue) grouped by TableId[, ColumnId] over a
-  /// CellValue IN-list) and the fused scan->project operator for the MC
-  /// phase-1 projection shape. Switchable so benches can report the
-  /// fused-vs-generic ratio and tests can cross-check the two paths.
+  /// CellValue IN-list); `false` forces the generic pipeline so benches can
+  /// report the fused-vs-generic ratio and tests can cross-check the two.
   bool enable_fused_scan_agg = true;
   /// Planner override for the generic pipeline's key-seek join step. A join
   /// step that equates the new relation's (TableId, RowId) with an earlier
@@ -89,33 +90,46 @@ struct QueryOptions {
   QueryTrace* trace = nullptr;
   /// Optional plan collector: when set, Engine::Query describes each plain
   /// statement it executes and appends the (trace-annotated, when a trace is
-  /// attached) plan here. Describe-mode planning reruns the dispatch gates
-  /// without executing, so capture never alters morsel geometry or results.
+  /// attached) plan here. The captured plan is the one the statement ran, so
+  /// capture never alters morsel geometry or results.
   /// Not owned; nullptr (the default) captures nothing.
   PlanCaptureSink* plan_capture = nullptr;
 };
 
-/// Executes an analyzed-and-parseable statement against a physical store.
-/// Instantiated for RowStore and ColumnStore (the (Row)/(Column) deployments
-/// of the paper's experiments).
+/// One SELECT statement analyzed, bound and planned against a physical
+/// store: every select item, group key, aggregate, ORDER BY key and join key
+/// bound, each relation's access path resolved (one Dictionary::FindBatch
+/// per IN-list), the key seeks decided and the root operator chosen. Describe
+/// renders the plan and Execute runs it, so EXPLAIN reports exactly the
+/// pipeline the bare statement runs, and a statement that fails to bind
+/// fails at PlanSelect for both. Instantiated for RowStore and ColumnStore
+/// (the (Row)/(Column) deployments of the paper's experiments). The
+/// statement, store and dictionary must outlive the plan.
 template <typename Store>
-Result<QueryResult> ExecuteSelect(const SelectStmt& stmt, const Store& store,
-                                  const Dictionary& dict,
-                                  const QueryOptions& options = {});
+class PlannedSelect {
+ public:
+  struct Impl;
+  explicit PlannedSelect(std::unique_ptr<Impl> impl);
+  PlannedSelect(PlannedSelect&&) noexcept;
+  ~PlannedSelect();
 
-/// Plans `stmt` without executing it: runs the same dispatch cascade as
-/// ExecuteSelect in describe mode — every gate (fused scan->agg, fused
-/// scan->project, generic with its key-seek rule) decides exactly as it
-/// would for execution, then reports the chosen pipeline, its operator tree,
-/// posting cardinalities, and planned morsel geometry instead of running
-/// tasks.
-/// EXPLAIN is therefore guaranteed to describe the path the bare statement
-/// takes. Binds expressions (so it can fail with the same binder errors) but
-/// never scans, joins, or charges memory budgets.
+  /// The chosen pipeline, its operator tree, posting cardinalities and
+  /// planned morsel geometry. Never scans, joins, or charges budgets.
+  PlanDescription Describe() const;
+  /// Runs the plan under the QueryOptions it was planned with.
+  Result<QueryResult> Execute() const;
+
+ private:
+  std::unique_ptr<Impl> impl_;
+};
+
+/// Plans `stmt`: analyzes it, checks `options.control`, binds and resolves
+/// everything once, and picks the fused SC/KW aggregate when
+/// `options.enable_fused_scan_agg` holds and the bound statement has its
+/// shape, otherwise the generic pipeline.
 template <typename Store>
-Result<PlanDescription> DescribeSelect(const SelectStmt& stmt,
-                                       const Store& store,
-                                       const Dictionary& dict,
-                                       const QueryOptions& options = {});
+Result<PlannedSelect<Store>> PlanSelect(const SelectStmt& stmt, const Store& store,
+                                        const Dictionary& dict,
+                                        const QueryOptions& options = {});
 
 }  // namespace blend::sql

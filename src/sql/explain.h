@@ -1,13 +1,13 @@
 #pragma once
 
-// EXPLAIN / EXPLAIN ANALYZE plan descriptions. The executor produces a
-// PlanDescription by running its real dispatch cascade in describe mode —
-// the same gates that pick fused/generic execution populate the
-// tree — so an EXPLAIN provably reports the path the bare statement would
-// take. For EXPLAIN ANALYZE the statement also executes normally and each
-// node is annotated with actuals from the attached QueryTrace. Rendering is
-// exposition only: plan text never rides in result rows, so ANALYZE results
-// stay byte-identical to the bare statement.
+// EXPLAIN / EXPLAIN ANALYZE plan descriptions. The executor renders a
+// PlanDescription from the same planned statement (sql::PlannedSelect) that
+// execution runs, so an EXPLAIN reports the pipeline the bare statement
+// takes and fails exactly when the bare statement fails to plan. For EXPLAIN
+// ANALYZE the planned statement also executes and each node is annotated
+// with actuals from the attached QueryTrace. Rendering is exposition only:
+// plan text never rides in result rows, so ANALYZE results stay
+// byte-identical to the bare statement.
 
 #include <cstdint>
 #include <string>
@@ -34,10 +34,10 @@ struct PlanNode {
   int64_t actual_rows = -1;
 };
 
-/// A planned statement: which pipeline the dispatch cascade chose, plus its
-/// operator nodes in root-first order.
+/// A planned statement: which pipeline the planner chose, plus its operator
+/// nodes in root-first order.
 struct PlanDescription {
-  std::string pipeline;  ///< "fused-scan-agg", "fused-scan-project", "generic"
+  std::string pipeline;  ///< "fused-scan-agg" or "generic"
   std::vector<PlanNode> nodes;
   bool analyzed = false;
 

@@ -87,6 +87,38 @@ TEST(MateTest, ProducesMoreCandidatesThanBlend) {
   EXPECT_GE(mate_stats.false_positives, mc.last_stats().false_positives);
 }
 
+TEST(MateTest, TableVTopKSetsAgreeOnBothLakes) {
+  // bench_table5_mc_join's two lakes and 15-query generator: BLEND's MC
+  // seeker and MATE must return the same top-10 table set for every query.
+  lakegen::McLakeSpec dwtc;
+  dwtc.name = "dwtc-like";
+  dwtc.num_tables = 500;
+  dwtc.rows_min = 80;
+  dwtc.rows_max = 200;
+  dwtc.seed = 55;
+  lakegen::McLakeSpec opendata;
+  opendata.name = "opendata-like";
+  opendata.num_tables = 150;
+  opendata.pairs_per_domain = 300;
+  opendata.seed = 56;
+  for (const lakegen::McLakeSpec& spec : {dwtc, opendata}) {
+    auto mc_lake = lakegen::MakeMcLake(spec);
+    core::Blend blend(&mc_lake.lake);
+    Mate mate(&mc_lake.lake);
+    Rng rng(spec.seed + 7);
+    for (int q = 0; q < 15; ++q) {
+      const int domain = q % static_cast<int>(spec.num_pair_domains);
+      auto tuples = lakegen::MakeMcQuery(spec, domain, 15 + rng.Uniform(10), &rng);
+      core::MCSeeker mc(tuples, 10);
+      auto blend_out = mc.Execute(blend.context(), "");
+      ASSERT_TRUE(blend_out.ok()) << blend_out.status().ToString();
+      EXPECT_EQ(core::IdSet(blend_out.value()),
+                core::IdSet(mate.TopK(tuples, 10, nullptr)))
+          << spec.name << " query " << q;
+    }
+  }
+}
+
 TEST(MateTest, EmptyQueries) {
   auto fig1 = lakegen::MakeFig1Lake();
   Mate mate(&fig1.lake);

@@ -308,7 +308,6 @@ TEST(TelemetryTrace, StageNamesMatchLegacyControlLabels) {
   EXPECT_STREQ(TraceStageName(TraceStage::kGallopIntersect), "gallop intersect");
   EXPECT_STREQ(TraceStageName(TraceStage::kGallopEmit), "gallop emit");
   EXPECT_STREQ(TraceStageName(TraceStage::kFusedScan), "fused scan");
-  EXPECT_STREQ(TraceStageName(TraceStage::kFusedProject), "fused project");
   EXPECT_STREQ(TraceStageName(TraceStage::kFilter), "filter");
   EXPECT_STREQ(TraceStageName(TraceStage::kProjection), "projection");
   EXPECT_STREQ(TraceStageName(TraceStage::kAggregation), "aggregation");

@@ -208,6 +208,29 @@ TEST_P(EngineDeterminismTest, AggregateShapesUnderEveryDedupSpec) {
   }
 }
 
+TEST_P(EngineDeterminismTest, ProjectionShapeUnderEveryDedupSpec) {
+  // The single-relation projection over a CellValue IN-list (one MC column's
+  // candidate rows), swept over the ORDER BY / LIMIT / scan-filter /
+  // dedup-top-k tail it can carry.
+  Rng rng(GetParam() * 79 + 13);
+  const std::string proj = "SELECT TableId, RowId, SuperKey FROM AllTables "
+                           "WHERE CellValue IN (" + RandomInList(&rng, 30) + ")";
+  const std::vector<std::string> sqls = {
+      proj + ";",
+      proj + " ORDER BY TableId DESC, RowId LIMIT 15;",
+      proj + " AND TableId IN (0, 2, 3, 5, 8, 13, 21, 34) AND TableId NOT IN (3, 21)"
+             " AND RowId < 30;",
+      proj + " LIMIT 9;",
+  };
+  for (const std::string& sql : sqls) {
+    for (int dedup_column : {-1, 0}) {
+      for (int64_t dedup_limit : {-1, 3}) {
+        ExpectDeterministic(sql, dedup_column, dedup_limit);
+      }
+    }
+  }
+}
+
 TEST_P(EngineDeterminismTest, McJoinShape) {
   Rng rng(GetParam() * 43 + 4);
   for (int i = 0; i < 3; ++i) {

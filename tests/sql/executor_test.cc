@@ -202,6 +202,52 @@ TEST_P(ExecutorTest, NonGroupedColumnInAggregateFails) {
       engine_->Query("SELECT RowId, COUNT(*) FROM AllTables GROUP BY TableId").ok());
 }
 
+TEST_P(ExecutorTest, ExplainRejectsWhatExecutionRejects) {
+  // EXPLAIN and EXPLAIN ANALYZE bind through the same planning step as the
+  // bare statement, so a statement that fails to bind fails identically
+  // under all three: a bad projection item, a bad aggregate argument, and a
+  // bad ORDER BY name on the SC aggregate shape.
+  const std::vector<std::string> sqls = {
+      "SELECT NoSuchCol FROM AllTables WHERE CellValue IN ('apple')",
+      "SELECT TableId, COUNT(DISTINCT NoSuchCol) FROM AllTables "
+      "WHERE CellValue IN ('apple') GROUP BY TableId",
+      "SELECT TableId, COUNT(DISTINCT CellValue) AS score FROM AllTables "
+      "WHERE CellValue IN ('apple', 'banana') GROUP BY TableId "
+      "ORDER BY NoSuchName DESC LIMIT 5",
+  };
+  for (const std::string& sql : sqls) {
+    const auto bare = engine_->Query(sql);
+    ASSERT_FALSE(bare.ok()) << sql;
+    EXPECT_EQ(bare.status().code(), StatusCode::kPlanError) << sql;
+    for (const std::string prefix : {"EXPLAIN ", "EXPLAIN ANALYZE "}) {
+      const auto explained = engine_->Query(prefix + sql);
+      ASSERT_FALSE(explained.ok()) << prefix << sql;
+      EXPECT_EQ(explained.status().code(), bare.status().code()) << prefix << sql;
+      EXPECT_EQ(explained.status().message(), bare.status().message())
+          << prefix << sql;
+    }
+  }
+}
+
+TEST_P(ExecutorTest, ExplainReportsDedupOnlyWhenItRuns) {
+  // The engine-side dedup applies only to an output column the rows have;
+  // EXPLAIN names it exactly when it runs.
+  const std::string sql =
+      "SELECT TableId, RowId FROM AllTables WHERE CellValue IN ('apple')";
+  QueryOptions opts;
+  opts.dedup_limit = 1;
+  for (int dedup_column : {5, 0}) {
+    opts.dedup_column = dedup_column;
+    const auto rows = engine_->Query(sql, opts);
+    const auto plan = engine_->Query("EXPLAIN " + sql, opts);
+    ASSERT_TRUE(rows.ok() && plan.ok());
+    const bool runs = dedup_column == 0;
+    EXPECT_EQ(rows.value().NumRows(), runs ? 1u : 3u);
+    EXPECT_EQ(plan.value().explain_text.find("dedup col") != std::string::npos, runs)
+        << plan.value().explain_text;
+  }
+}
+
 TEST_P(ExecutorTest, EmptyInListIsRejected) {
   auto r = engine_->Query("SELECT TableId FROM AllTables WHERE TableId IN ()");
   ASSERT_FALSE(r.ok());
